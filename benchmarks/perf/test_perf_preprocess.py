@@ -1,25 +1,23 @@
 """Preprocessing scaling: serial master pipeline vs the pool fan-out.
 
-ROADMAP's named perf target after PR 3/4: the triangle phase scales, but
-the master-side preprocessing -- degree orientation and external-sort run
-formation -- still ran single-threaded through the block layer.  This
-benchmark times both pipelines on the *tracked backend_scaling workload*
-(the sparse power-law graph of ``test_perf_backends``):
+The master-side preprocessing is degree orientation followed by
+external-sort run formation.  This benchmark times both pipelines on the
+*tracked backend_scaling workload* (the sparse power-law graph of
+``test_perf_backends``):
 
-* **serial** -- the pre-PR master path: threaded orientation
-  (``parallel=True`` over the block layer... now raw reads, identical
-  accounting) and ``formation="serial"`` run formation (block-layer
-  window reads + ``lexsort`` per window);
-* **parallel** -- the input graph published once to shared memory
-  (:func:`repro.core.shm.publish_input_graph`, timed *inside* the
-  parallel region, publication unlinked per repetition), orientation
-  chunks fanned over the persistent process pool, and
-  ``formation="parallel"`` run formation (raw window reads + packed
-  radix sort in pool workers).
+* **serial** -- threaded orientation (``parallel=True``: raw chunk reads
+  on a thread pool, the master charging the identical accounting) and
+  ``formation="serial"`` run formation (block-layer window reads +
+  ``lexsort`` per window);
+* **parallel** -- the same threaded orientation and
+  ``formation="parallel"`` run formation (raw window reads + packed radix
+  sort in persistent pool workers).
 
-Bit-identity is asserted unconditionally -- oriented file bytes, sorted
-output bytes and the full master IOStats dict must match between the two
-pipelines before any time is reported.  The ``>= PREPROCESS_MIN_SPEEDUP``
+Orientation runs the same code in both pipelines, so it is timed once and
+counted in both; the speedup is the pool run formation's.  Bit-identity
+is asserted unconditionally -- sorted output bytes and the master IOStats
+counters must match between the two pipelines before any time is
+reported.  The ``>= PREPROCESS_MIN_SPEEDUP``
 floor on the combined orientation + run-formation phase is asserted in
 full mode only (quick mode / CI smoke keeps the equivalence checks).
 Results land in the ``preprocess_parallel`` section of ``BENCH_pdtl.json``.
@@ -27,7 +25,6 @@ Results land in the ``preprocess_parallel`` section of ``BENCH_pdtl.json``.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -36,7 +33,6 @@ import pytest
 from conftest import PREPROCESS_MIN_SPEEDUP, QUICK, REPEATS
 
 from repro.core.orientation import orient_graph
-from repro.core.shm import publish_input_graph, shm_available
 from repro.externalmem.blockio import BlockDevice
 from repro.externalmem.extsort import external_sort_edges, write_edge_file
 from repro.graph.binfmt import write_graph
@@ -46,8 +42,6 @@ from repro.graph.generators import power_law_degree_graph
 _SORT_MEMORY = 512 * 1024  # the master's sort budget, not the per-proc M
 _BLOCK = 4096
 _WORKERS = 4
-
-_SHM_OK, _SHM_REASON = shm_available()
 
 
 @pytest.fixture(scope="module")
@@ -67,22 +61,8 @@ def workload(tmp_path_factory):
     return graph, device, gf
 
 
-def _orient_serial(gf):
-    return orient_graph(gf, num_workers=_WORKERS, parallel=True, output_name="o_serial")
-
-
-def _orient_parallel(gf):
-    publication = publish_input_graph(gf)
-    try:
-        return orient_graph(
-            gf,
-            num_workers=_WORKERS,
-            executor="processes",
-            shared=publication.descriptor,
-            output_name="o_parallel",
-        )
-    finally:
-        publication.unlink()
+def _orient(gf):
+    return orient_graph(gf, num_workers=_WORKERS, parallel=True, output_name="oriented")
 
 
 def _best_wall(fn):
@@ -99,33 +79,13 @@ def _file_bytes(device, name):
     return device.path(name).read_bytes()
 
 
-@pytest.mark.skipif(not _SHM_OK, reason=f"shared memory unavailable: {_SHM_REASON}")
 def test_preprocess_parallel(workload, perf_report):
     graph, device, gf = workload
 
-    # -- orientation: serial (threaded) vs pool fan-out ----------------------
-    # warm the pool and the page cache outside the timed region
-    _orient_parallel(gf)
-    orient_serial_wall, orient_serial = _best_wall(lambda: _orient_serial(gf))
-    orient_parallel_wall, orient_parallel = _best_wall(lambda: _orient_parallel(gf))
-
-    # bit-identity before any timing is trusted
-    for suffix in (".deg", ".adj", ".meta"):
-        assert _file_bytes(device, f"o_serial{suffix}") == _file_bytes(
-            device, f"o_parallel{suffix}"
-        ), suffix
-    np.testing.assert_array_equal(
-        orient_serial.out_degrees, orient_parallel.out_degrees
-    )
-    # both pipelines re-ran on the same warm device, so the modelled-time
-    # delta is a float subtraction from different accumulated bases; the
-    # bit-exact fresh-device equality lives in the integration suite
-    assert math.isclose(
-        orient_serial.modelled_io_seconds,
-        orient_parallel.modelled_io_seconds,
-        rel_tol=1e-9,
-        abs_tol=1e-12,
-    )
+    # -- orientation: threaded, shared by both pipelines ---------------------
+    _orient(gf)  # warm the page cache outside the timed region
+    orient_wall, orientation = _best_wall(lambda: _orient(gf))
+    assert orientation.num_edges == graph.num_undirected_edges
 
     # -- external sort: serial vs pool run formation -------------------------
     def sort_with(formation):
@@ -157,8 +117,8 @@ def test_preprocess_parallel(workload, perf_report):
     assert serial_dict == parallel_dict  # counters exact; float base differs
 
     # -- the tracked phase: orientation + run formation ----------------------
-    serial_phase = orient_serial_wall + best_serial_sort
-    parallel_phase = orient_parallel_wall + best_parallel_sort
+    serial_phase = orient_wall + best_serial_sort
+    parallel_phase = orient_wall + best_parallel_sort
     speedup = serial_phase / parallel_phase
     entries = gf.num_edges
     perf_report.record(
@@ -169,8 +129,7 @@ def test_preprocess_parallel(workload, perf_report):
         sort_memory_bytes=_SORT_MEMORY,
         num_runs=sort_serial.num_runs,
         workers=_WORKERS,
-        orient_serial_wall_s=orient_serial_wall,
-        orient_parallel_wall_s=orient_parallel_wall,
+        orient_wall_s=orient_wall,
         formation_serial_wall_s=best_serial_sort,
         formation_parallel_wall_s=best_parallel_sort,
         merge_wall_s=sort_parallel.merge_seconds,

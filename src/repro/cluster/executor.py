@@ -28,8 +28,9 @@ assignment API (one job per processor, results in submission order).
 scheduler uses: a bounded crew of workers loops over a shared queue of
 small tasks, so a slow task only delays the worker holding it -- the
 structured-concurrency shape of pygolang's ``sync.WorkGroup``, without the
-extra dependency.  Both cap their default parallelism at the host's CPU
-count: spawning one OS thread or process per job melts down once jobs
+extra dependency.  Both cap their default parallelism at the CPUs this
+process may run on (its affinity mask, so ``taskset`` and container CPU
+limits size the crew): spawning one OS thread or process per job melts down once jobs
 number in the hundreds (the dynamic scheduler routinely queues hundreds of
 chunks).
 
@@ -72,9 +73,18 @@ class ExecutionBackend(str, Enum):
     PROCESSES = "processes"
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the host's CPU count (1 when even that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def _effective_workers(max_workers: int | None, num_jobs: int) -> int:
-    """Bound the worker crew: the caller's cap if given, else the CPU count."""
-    cap = max_workers if max_workers is not None else (os.cpu_count() or 1)
+    """Bound the worker crew: the caller's cap if given, else the CPUs
+    available to this process."""
+    cap = max_workers if max_workers is not None else _available_cpus()
     return max(1, min(cap, num_jobs))
 
 
@@ -268,7 +278,7 @@ def run_jobs(
     The result order always matches the job order regardless of completion
     order, so callers can zip results back onto their (node, core)
     assignments.  When ``max_workers`` is omitted the crew is capped at
-    ``os.cpu_count()`` -- never one worker per job.
+    the CPUs available to this process -- never one worker per job.
     """
     backend = ExecutionBackend(backend)
     if not jobs:
@@ -298,12 +308,12 @@ def run_preprocess_queue(
 ) -> list[T]:
     """Fan master-side preprocessing tasks out over the persistent pool.
 
-    This is the task queue the parallel preprocessing pipeline (orientation
-    chunks, external-sort run formation) submits to: the pull behaviour of
-    :func:`run_task_queue` pinned to the persistent ``processes`` backend,
-    so results come back in task order, at most ``max_workers`` (or the CPU
-    count) tasks are in flight, and the picklable-task contract is
-    genuinely exercised even for a single chunk.
+    This is the task queue parallel external-sort run formation submits
+    to: the pull behaviour of :func:`run_task_queue` pinned to the
+    persistent ``processes`` backend, so results come back in task order,
+    at most ``max_workers`` (or the available CPU count) tasks are in
+    flight, and the picklable-task contract is genuinely exercised even
+    for a single chunk.
     """
     return run_task_queue(
         tasks, fn, backend=ExecutionBackend.PROCESSES, max_workers=max_workers

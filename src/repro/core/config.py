@@ -49,22 +49,6 @@ class PDTLConfig:
     parallel_orientation:
         whether the master orients the graph with all of its cores
         (Figure 2) or sequentially.
-    parallel_preprocess:
-        when True, the master publishes the *input* (unoriented) graph into
-        named shared-memory segments once per run
-        (:func:`repro.core.shm.publish_input_graph`) and fans the
-        orientation scan out over the **persistent process pool** as
-        picklable chunk tasks, each worker filtering its vertex window
-        zero-copy against the published degree-order keys.  Purely a
-        host-side wall-clock optimisation below the accounting layer: the
-        master charges the serial scan's exact I/O in chunk order, so the
-        oriented file bytes, :class:`~repro.externalmem.iostats.IOStats`
-        and modelled setup seconds are bit-identical with the flag on or
-        off (the preprocessing equivalence suite asserts this).  The
-        publication is unlinked in a ``finally`` -- even when a
-        preprocessing worker raises mid-run -- and on platforms without
-        POSIX shared memory the runner falls back to the threaded
-        orientation with a warning.
     count_only:
         when True, triangles are counted but not materialised, so the output
         term ``T/B`` of the I/O bound and ``T`` of the network bound drop to 0,
@@ -123,14 +107,17 @@ class PDTLConfig:
         the property the cross-backend equivalence suite asserts.
     shm:
         when True, the runner publishes the oriented adjacency (degrees,
-        adjacency, offsets) into named ``multiprocessing.shared_memory``
-        segments once per run and every chunk task slices its memory
-        windows zero-copy from them (:mod:`repro.core.shm`) instead of
-        re-reading the on-disk replica -- the layer that lets the
-        ``processes`` backend scale past duplicated host reads.  Purely a
-        host-side wall-clock optimisation below the accounting layer:
-        triangle counts, :class:`~repro.externalmem.iostats.IOStats` and
-        modelled times are bit-identical with it on or off.  On platforms
+        adjacency, offsets and the MGT scan invariants) into named
+        ``multiprocessing.shared_memory`` segments once per run and every
+        chunk task slices its memory windows zero-copy from them
+        (:mod:`repro.core.shm`) instead of re-reading the on-disk replica;
+        each window's full-graph scan then runs as one call of the same
+        block kernel the on-disk path runs per scan block -- the layer
+        that lets the ``processes`` backend scale past duplicated host
+        reads.  Purely a host-side wall-clock optimisation below the
+        accounting layer: triangle counts,
+        :class:`~repro.externalmem.iostats.IOStats` and modelled times are
+        bit-identical with it on or off.  On platforms
         without POSIX shared memory the runner falls back to the on-disk
         path with a warning (see :func:`repro.core.shm.shm_available`).
     readahead_bytes:
@@ -182,10 +169,8 @@ class PDTLConfig:
     memory_fill_fraction: float = 0.5
     load_balanced: bool = True
     parallel_orientation: bool = True
-    parallel_preprocess: bool = False
     count_only: bool = True
     sink: str = "count"
-    use_processes: bool = False
     seed: int = 0
     scheduling: str = "static"
     chunk_edges: int | None = None
@@ -374,6 +359,5 @@ class PDTLConfig:
             f"B={format_size(self.block_size)}, "
             f"load_balanced={self.load_balanced}, "
             f"count_only={self.count_only}, "
-            f"scheduling={self.scheduling}, shm={self.shm}, "
-            f"parallel_preprocess={self.parallel_preprocess})"
+            f"scheduling={self.scheduling}, shm={self.shm})"
         )

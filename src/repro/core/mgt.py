@@ -28,13 +28,14 @@ the full range is the single-core MGT baseline of Figures 10/11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import time
 
 import numpy as np
 
 from repro.core import kernel_backend, kernels
 from repro.core.config import PDTLConfig
+from repro.core.shm import SharedGraphView
 from repro.core.triangles import CountingSink, TriangleSink
 from repro.errors import ConfigurationError
 from repro.externalmem.iostats import IOStats
@@ -198,20 +199,12 @@ class MGTWorker:
         total_range = self.range_stop - self.range_start
         edges_processed = 0
 
-        # A shared-memory graph view publishes the scan invariants (per-entry
-        # sources + globally sorted packed keys); with those and the whole
-        # adjacency memory-resident, the full-graph scan of each window runs
-        # as ONE fused vectorised pass over just the window's candidate
-        # entries instead of a per-block loop over the whole file.  The
+        # A shared-memory graph view holds the whole adjacency in memory and
+        # publishes the scan invariants (per-entry sources + sorted packed
+        # keys), so each window's full-graph scan runs as ONE block over the
+        # zero-copy adjacency instead of a per-block loop of reads.  The
         # modelled reads are still charged block by block, identically.
-        scan_sources = getattr(self.graph, "scan_sources", None)
-        scan_keys = getattr(self.graph, "scan_keys", None)
-        fused_scan = scan_sources is not None and scan_keys is not None
-        scan_plan: _SharedScanPlan | None = None
-        if fused_scan:
-            t0 = time.thread_time()
-            scan_plan = self._build_shared_scan_plan(offsets)
-            cpu_seconds += time.thread_time() - t0
+        resident = isinstance(self.graph, SharedGraphView)
 
         # hot loop: only build window spans when tracing is actually on, so
         # the disabled path costs one attribute load per run, not per window
@@ -263,74 +256,58 @@ class MGTWorker:
             scan_block_vertices = max(
                 self.config.block_items // 2, 1024
             )  # batch reads to keep the scan sequential
-            if scan_plan is not None:
-                # charge the exact per-block modelled reads of the streaming
-                # scan (same batching, same block counts, same device time),
-                # then evaluate the whole scan in one vectorised pass
-                v = 0
-                while v < self.graph.num_vertices:
-                    hi = min(v + scan_block_vertices, self.graph.num_vertices)
-                    block_edge_count = int(offsets[hi] - offsets[v])
-                    if block_edge_count:
-                        self._charge_read(block_edge_count, sequential=True)
-                    v = hi
-                t0 = time.thread_time()
-                window_index = (window_start - self.range_start) // self._window_edges
-                pairs, window_ops = self._process_window_shared(
-                    sink,
-                    scan_sources,
-                    scan_keys,
-                    candidates=scan_plan.window_candidates(window_index),
-                    edg=edg,
-                    vlow=vlow,
-                    vhigh=vhigh,
-                    win_offsets=win_offsets,
-                    win_degrees=win_degrees,
-                )
-                intersections += pairs
-                cpu_operations += window_ops
-                cpu_seconds += time.thread_time() - t0
-                self.budget.release("edg")
-                self.budget.release("ind")
-                if window_span is not None:
-                    window_span.end(pairs=pairs)
-                window_start = window_stop
-                continue
+            window_pairs = 0
             v = 0
             while v < self.graph.num_vertices:
                 hi = min(v + scan_block_vertices, self.graph.num_vertices)
                 block_start_edge = int(offsets[v])
                 block_edge_count = int(offsets[hi] - offsets[v])
                 if block_edge_count:
-                    block_adj = self.graph.read_adjacency_range(
-                        block_start_edge, block_edge_count
-                    )
                     self._charge_read(block_edge_count, sequential=True)
-                else:
-                    block_adj = np.empty(0, dtype=np.int64)
-
+                    if not resident:
+                        block_adj = self.graph.read_adjacency_range(
+                            block_start_edge, block_edge_count
+                        )
+                        t0 = time.thread_time()
+                        pairs, block_ops = self._process_block(
+                            sink,
+                            block_adj,
+                            offsets[v : hi + 1] - offsets[v],
+                            first_vertex=v,
+                            edg=edg,
+                            vlow=vlow,
+                            vhigh=vhigh,
+                            win_offsets=win_offsets,
+                            win_degrees=win_degrees,
+                        )
+                        window_pairs += pairs
+                        cpu_operations += block_ops
+                        cpu_seconds += time.thread_time() - t0
+                v = hi
+            if resident:
                 t0 = time.thread_time()
-                block_offsets = offsets[v : hi + 1] - offsets[v]
                 pairs, block_ops = self._process_block(
                     sink,
-                    block_adj,
-                    block_offsets,
-                    first_vertex=v,
+                    self.graph.read_adjacency_range(0, self.graph.num_edges),
+                    offsets,
+                    first_vertex=0,
                     edg=edg,
                     vlow=vlow,
                     vhigh=vhigh,
                     win_offsets=win_offsets,
                     win_degrees=win_degrees,
+                    entry_sources=self.graph.scan_sources,
+                    block_keys=self.graph.scan_keys,
                 )
-                intersections += pairs
+                window_pairs += pairs
                 cpu_operations += block_ops
                 cpu_seconds += time.thread_time() - t0
-                v = hi
+            intersections += window_pairs
 
             self.budget.release("edg")
             self.budget.release("ind")
             if window_span is not None:
-                window_span.end()
+                window_span.end(pairs=window_pairs)
             window_start = window_stop
 
         peak = self.budget.peak_usage
@@ -363,6 +340,8 @@ class MGTWorker:
         vhigh: int,
         win_offsets: np.ndarray,
         win_degrees: np.ndarray,
+        entry_sources: np.ndarray | None = None,
+        block_keys: np.ndarray | None = None,
     ) -> tuple[int, int]:
         """Run the MGT inner loop for one scanned block of cone vertices.
 
@@ -385,7 +364,10 @@ class MGTWorker:
         baselines through :mod:`repro.core.kernels`; the only MGT-specific
         part is that ``E_v`` segments come from the memory window ``edg``
         addressed by ``win_offsets``/``win_degrees`` rather than from the
-        full adjacency.
+        full adjacency.  ``entry_sources``/``block_keys`` -- the block's
+        per-entry sources and packed keys -- are derived here unless the
+        caller passes them precomputed (a shared-memory view publishes both
+        for its whole adjacency, scanned as one block).
 
         Returns ``(pairs, operations)``: the number of (cone, out-neighbour)
         pairs intersected -- the Σ|N⁺(u)| term of the CPU analysis -- and the
@@ -422,8 +404,6 @@ class MGTWorker:
                     )
             return num_pairs, scanned + total
 
-        num_block_vertices = block_offsets.shape[0] - 1
-
         # step 1: candidate (u, v) pairs
         in_span = (block_adj >= vlow) & (block_adj <= vhigh)
         cand_mask = np.zeros(block_adj.shape[0], dtype=bool)
@@ -431,10 +411,11 @@ class MGTWorker:
             cand_mask[in_span] = win_degrees[block_adj[in_span] - vlow] > 0
         if not cand_mask.any():
             return 0, scanned
-        block_degrees = (block_offsets[1:] - block_offsets[:-1]).astype(np.int64)
-        entry_sources = np.repeat(
-            np.arange(num_block_vertices, dtype=np.int64), block_degrees
-        )
+        if entry_sources is None:
+            block_degrees = (block_offsets[1:] - block_offsets[:-1]).astype(np.int64)
+            entry_sources = np.repeat(
+                np.arange(block_degrees.shape[0], dtype=np.int64), block_degrees
+            )
         pair_u = entry_sources[cand_mask]          # cone vertex (block-relative)
         pair_v = block_adj[cand_mask]              # out-neighbour with in-window edges
         num_pairs = int(pair_u.shape[0])
@@ -452,7 +433,8 @@ class MGTWorker:
         # packed keys are sorted and the query (u, w) hits exactly when the
         # edge (u, w) is present in the block.
         n = self.graph.num_vertices
-        block_keys = kernels.packed_keys(entry_sources, block_adj, n)
+        if block_keys is None:
+            block_keys = kernels.packed_keys(entry_sources, block_adj, n)
         query_keys = kernels.packed_keys(pair_u[pair_ids], ev_all, n)
         found = kernels.sorted_membership(block_keys, query_keys)
         if found.any():
@@ -461,133 +443,6 @@ class MGTWorker:
             pivots_w = ev_all[found]
             sink.add_triples(cones, pivots_v, pivots_w)
         return num_pairs, scanned + total
-
-    def _build_shared_scan_plan(self, offsets: np.ndarray) -> "_SharedScanPlan":
-        """Bucket every adjacency entry by the memory windows it scans into.
-
-        An entry ``(u, v)`` at position ``p`` is a candidate pair of window
-        ``k`` exactly when ``v``'s out-list ``[offsets[v], offsets[v+1])``
-        overlaps the window's edge range -- the same condition the
-        streaming scan evaluates per block as ``v ∈ [vlow, vhigh]`` and
-        ``win_degrees[v - vlow] > 0``.  Because the small-degree assumption
-        bounds every out-list by one window capacity, a list overlaps at
-        most **two consecutive** windows, so one stable radix sort of the
-        active positions by first window (plus a small spill bucket for the
-        straddlers) yields every window's candidate list up front; the
-        per-window scan then touches only its candidates instead of the
-        whole file.
-        """
-        adjacency = self.graph.read_adjacency_range(0, self.graph.num_edges)
-        window = self._window_edges
-        rs, rstop = self.range_start, self.range_stop
-        if adjacency.shape[0] == 0 or rstop <= rs:
-            return _SharedScanPlan.empty()
-        nbr_start = offsets[adjacency]
-        nbr_stop = offsets[adjacency + 1]
-        lo = np.maximum(nbr_start, rs)
-        hi = np.minimum(nbr_stop, rstop)
-        pos = np.nonzero(lo < hi)[0]  # entries whose target list meets the range
-        first = (lo[pos] - rs) // window
-        last = (hi[pos] - 1 - rs) // window
-        order = np.argsort(first, kind="stable")  # radix sort: positions stay sorted per bucket
-        num_windows = ceil_div(rstop - rs, window)
-        boundaries = np.arange(num_windows + 1, dtype=np.int64)
-        straddlers = np.nonzero(last > first)[0]
-        spill_order = straddlers[np.argsort(last[straddlers], kind="stable")]
-        return _SharedScanPlan(
-            positions=pos[order],
-            bucket_bounds=np.searchsorted(first[order], boundaries),
-            spill_positions=pos[spill_order],
-            spill_bounds=np.searchsorted(last[spill_order], boundaries),
-        )
-
-    def _process_window_shared(
-        self,
-        sink: TriangleSink,
-        entry_sources: np.ndarray,
-        adj_keys: np.ndarray,
-        candidates: np.ndarray,
-        edg: np.ndarray,
-        vlow: int,
-        vhigh: int,
-        win_offsets: np.ndarray,
-        win_degrees: np.ndarray,
-    ) -> tuple[int, int]:
-        """The fused full-graph scan of one memory window (shared-memory path).
-
-        Semantically identical to running :meth:`_process_block` over every
-        scan block in order -- candidate pairs are enumerated in adjacency
-        position order (the concatenation of the per-block orders), the
-        gathered ``E_v`` segments follow their pairs, and the membership
-        test is the same packed-key binary search, just against the
-        published whole-graph key array instead of each block's slice (the
-        keys partition by source vertex, so block-local and global
-        membership coincide).  Triangle counts, emission order, the pair
-        count and the deterministic operation count (whole file scanned
-        plus gathered elements) are all bit-identical to the streaming
-        path; only the host-side work changes -- no reads, no per-block
-        ``packed_keys`` rebuild, one numpy pass over the precomputed
-        candidates per window.
-        """
-        scanned = self.graph.num_edges
-        num_pairs = int(candidates.shape[0])
-        if num_pairs == 0:
-            return 0, scanned
-        adjacency = self.graph.read_adjacency_range(0, self.graph.num_edges)
-        pair_v = adjacency[candidates]           # out-neighbour with in-window edges
-        seg_lengths = win_degrees[pair_v - vlow]
-        total = int(seg_lengths.sum())
-        seg_starts = win_offsets[pair_v - vlow]
-        ev_all, pair_ids = kernels.segment_gather(edg, seg_starts, seg_lengths)
-        pair_u = entry_sources[candidates]       # cone vertices (global ids)
-        query_keys = kernels.packed_keys(
-            pair_u[pair_ids], ev_all, self.graph.num_vertices
-        )
-        found = kernels.sorted_membership(adj_keys, query_keys)
-        if found.any():
-            sink.add_triples(
-                pair_u[pair_ids[found]], pair_v[pair_ids[found]], ev_all[found]
-            )
-        return num_pairs, scanned + total
-
-
-@dataclass
-class _SharedScanPlan:
-    """Per-window candidate positions for the fused shared-memory scan.
-
-    ``positions`` holds the active adjacency positions stably sorted by the
-    first window their target's out-list overlaps, ``bucket_bounds[k]``
-    delimiting window ``k``'s slice; ``spill_positions``/``spill_bounds``
-    hold the straddlers (lists crossing one window boundary) bucketed by
-    their *second* window.  Window ``k``'s candidates are the union of its
-    bucket and its spill, re-sorted to adjacency position order so the
-    emission order matches the streaming scan exactly.
-    """
-
-    positions: np.ndarray
-    bucket_bounds: np.ndarray
-    spill_positions: np.ndarray
-    spill_bounds: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "_SharedScanPlan":
-        return cls(
-            positions=np.empty(0, dtype=np.int64),
-            bucket_bounds=np.zeros(1, dtype=np.int64),
-            spill_positions=np.empty(0, dtype=np.int64),
-            spill_bounds=np.zeros(1, dtype=np.int64),
-        )
-
-    def window_candidates(self, window_index: int) -> np.ndarray:
-        if window_index + 1 >= self.bucket_bounds.shape[0]:
-            return np.empty(0, dtype=np.int64)
-        lo, hi = self.bucket_bounds[window_index], self.bucket_bounds[window_index + 1]
-        bucket = self.positions[lo:hi]
-        slo = self.spill_bounds[window_index]
-        shi = self.spill_bounds[window_index + 1]
-        if shi == slo:
-            return bucket
-        return np.sort(np.concatenate((bucket, self.spill_positions[slo:shi])))
 
 
 def mgt_count(

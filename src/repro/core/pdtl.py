@@ -37,7 +37,6 @@ from repro.core.orientation import OrientationResult, orient_graph
 from repro.core.shm import (
     SharedGraphDescriptor,
     publish_graph,
-    publish_input_graph,
     shm_available,
 )
 from repro.core.scheduler import (
@@ -140,7 +139,6 @@ class PDTLResult:
     max_out_degree: int = 0
     num_chunks: int = 0
     shm_used: bool = False
-    preprocess_parallel: bool = False
     #: structured observability payload of a traced run (``config.trace``);
     #: ``None`` when tracing was off.  Instrumentation only: no other field
     #: of this result depends on whether it was collected.
@@ -153,8 +151,8 @@ class PDTLResult:
     @property
     def modelled_setup_seconds(self) -> float:
         """Modelled master-device time of the preprocessing phase (staging,
-        orientation, replication reads) -- identical whether preprocessing
-        ran serially or on the process pool."""
+        orientation, replication reads) -- identical whether orientation
+        ran serially or on threads."""
         return self.metrics.setup_seconds
 
     @property
@@ -261,46 +259,16 @@ class PDTLRunner:
         return write_graph(cluster.master.device, "input", graph)
 
     def _orient(self, source: GraphFile) -> OrientationResult:
-        # the chunk count depends only on parallel_orientation, never on the
-        # executor: every path charges the same per-chunk reads, so IOStats
-        # and modelled setup time are bit-identical whether the chunks run
-        # inline, on threads, on the pool, or on the shm-unavailable fallback
+        # the chunk count depends only on parallel_orientation: every chunk
+        # executor charges the same per-chunk reads, so IOStats and modelled
+        # setup time are bit-identical whether the chunks run inline or on
+        # threads
         workers = self.config.procs_per_node if self.config.parallel_orientation else 1
-        if self.config.parallel_preprocess:
-            publication = self._publish_input(source)
-            if publication is not None:
-                # the finally covers a preprocessing worker raising mid-run:
-                # the input-graph segments never outlive the orientation
-                try:
-                    return orient_graph(
-                        source,
-                        num_workers=workers,
-                        executor="processes",
-                        shared=publication.descriptor,
-                    )
-                finally:
-                    publication.unlink()
         return orient_graph(
             source,
             num_workers=workers,
             parallel=self.config.parallel_orientation,
         )
-
-    def _publish_input(self, source: GraphFile):
-        """Publish the unoriented input graph for the parallel preprocessing
-        fan-out, or ``None`` (with a warning) where shared memory is
-        unavailable -- the run then degrades to the threaded orientation
-        with bit-identical results."""
-        available, reason = shm_available()
-        if not available:
-            warn_fallback(
-                "parallel_preprocess=True",
-                reason,
-                "threaded orientation",
-                stacklevel=4,
-            )
-            return None
-        return publish_input_graph(source)
 
     def _result_payload(
         self, sink_kind: str, triangles: int, num_edges: int = 0
@@ -530,7 +498,6 @@ class PDTLRunner:
             max_out_degree=orientation.max_out_degree,
             num_chunks=len(units),
             shm_used=publication is not None,
-            preprocess_parallel=orientation.executor == "processes",
             telemetry=telemetry,
         )
 

@@ -44,12 +44,10 @@ def count_triangles(
 
     ``config_overrides`` are forwarded to :class:`PDTLConfig`
     (``num_nodes=2, procs_per_node=4, memory_per_proc="8MB"`` ...).
-    The host-side acceleration knobs compose freely here: ``shm=True``
+    The host-side acceleration knobs pass through here too: ``shm=True``
     serves the triangle phase's memory windows zero-copy from shared
-    memory, and ``parallel_preprocess=True`` fans the master's
-    orientation scan out over the persistent process pool -- both are
-    strictly below the accounting layer, so counts, IOStats and modelled
-    times are identical with them on or off.
+    memory -- strictly below the accounting layer, so counts, IOStats and
+    modelled times are identical with it on or off.
     """
     cfg = _make_config(config, **config_overrides)
     return PDTLRunner(cfg, backend=backend).run(graph, sink_kind="count")

@@ -250,16 +250,26 @@ class TestCompiledTierEquivalence:
                     ours.result.io_stats.as_dict() == theirs.result.io_stats.as_dict()
                 ), label
 
-    def test_listing_order_identical(self, graph):
+    # static ranges give one worker a multi-window scan (dynamic chunks are
+    # one window each here), so both exercise the per-window list emission
+    @pytest.mark.parametrize("scheduling", ("dynamic", "static"))
+    def test_listing_order_identical(self, graph, scheduling):
         for label, backend, shm in _backends():
             plain = self._run_tier(
-                graph, "numpy", backend, shm, sink_kind="list", count_only=False
+                graph,
+                "numpy",
+                backend,
+                shm,
+                scheduling,
+                sink_kind="list",
+                count_only=False,
             )
             compiled = self._run_tier(
                 graph,
                 _COMPILED_TIER,
                 backend,
                 shm,
+                scheduling,
                 sink_kind="list",
                 count_only=False,
             )

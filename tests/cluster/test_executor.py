@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.executor import (
     ExecutionBackend,
+    _effective_workers,
     process_pool,
     run_jobs,
     run_task_queue,
@@ -99,10 +100,21 @@ class TestBackendSelection:
         assert peak[0] <= 2
 
 
+def _set_available_cpus(monkeypatch, cpus: int | None) -> None:
+    """Make the executor see ``cpus`` CPUs (``None``: unknown) through the
+    source it reads -- the affinity mask where the platform has one, else
+    ``os.cpu_count``."""
+    if hasattr(os, "sched_getaffinity"):
+        mask = set(range(cpus)) if cpus else set()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+    else:  # pragma: no cover - platforms without affinity masks
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 class TestDefaultWorkerCap:
     """Regression: ``max_workers or len(jobs)`` used to spawn one OS thread
     (or process) per job, even for hundreds of jobs; the default crew is now
-    capped at the host's CPU count."""
+    capped at the CPUs available to the process (its affinity mask)."""
 
     def _measure_peak(self, num_jobs: int) -> int:
         active = []
@@ -121,16 +133,18 @@ class TestDefaultWorkerCap:
         run_jobs([job] * num_jobs, backend="threads")
         return peak[0]
 
-    def test_default_thread_crew_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert self._measure_peak(40) <= 2
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_default_thread_crew_capped_at_cpu_count(self, monkeypatch, cpus):
+        _set_available_cpus(monkeypatch, cpus)
+        assert _effective_workers(None, 40) == cpus
+        assert self._measure_peak(40) <= cpus
 
     def test_cap_survives_unknown_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        _set_available_cpus(monkeypatch, None)
         assert self._measure_peak(10) <= 1
 
     def test_explicit_max_workers_still_wins(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _set_available_cpus(monkeypatch, 1)
         barrier = threading.Barrier(3, timeout=5)
 
         def job():
@@ -149,7 +163,7 @@ class TestRunTaskQueue:
         ]
 
     def test_threads_pull_until_drained(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _set_available_cpus(monkeypatch, 3)
         tasks = list(range(50))
         results = run_task_queue(tasks, lambda x: x + 1, backend="threads")
         assert results == [x + 1 for x in tasks]
@@ -212,13 +226,22 @@ class TestPersistentProcessPool:
         first = process_pool(1)
         second = process_pool(1)
         assert first is second
-        assert run_task_queue([1, 2], _double, backend="processes") == [2, 4]
+        assert (
+            run_task_queue([1, 2], _double, backend="processes", max_workers=1)
+            == [2, 4]
+        )
         assert process_pool(1) is first
 
     def test_worker_processes_survive_between_runs(self):
         shutdown_process_pool()
-        pids_a = set(run_task_queue([0, 1, 2], _worker_pid, backend="processes"))
-        pids_b = set(run_task_queue([0, 1, 2], _worker_pid, backend="processes"))
+        # one worker: with a larger crew, which workers a short run happens
+        # to reach depends on spawn timing, not on worker survival
+        pids_a = set(
+            run_task_queue([0, 1, 2], _worker_pid, backend="processes", max_workers=1)
+        )
+        pids_b = set(
+            run_task_queue([0, 1, 2], _worker_pid, backend="processes", max_workers=1)
+        )
         assert pids_a == pids_b  # same workers, not respawned ones
         assert os.getpid() not in pids_a
 

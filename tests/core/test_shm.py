@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.inmemory import forward_count
+from repro.core import kernel_backend
 from repro.core import shm as shm_mod
 from repro.core.config import PDTLConfig
 from repro.core.mgt import MGTWorker, mgt_count
@@ -27,7 +28,6 @@ from repro.core.shm import (
     attach_view,
     detach_view,
     publish_graph,
-    publish_input_graph,
     shm_available,
 )
 from repro.errors import PDTLError
@@ -40,6 +40,8 @@ pytestmark = pytest.mark.skipif(
     not shm_available()[0],
     reason=f"POSIX shared memory unavailable: {shm_available()[1]}",
 )
+
+_COMPILED_OK, _COMPILED_TIER = kernel_backend.compiled_available()
 
 
 def _segments_on_host() -> list[str]:
@@ -191,6 +193,15 @@ class TestLifecycle:
             stale_pub._unlinked = True  # segments already gone
         assert _segments_on_host() == []
 
+    def test_closed_view_reports_closed(self, oriented):
+        """Use-after-close raises a clear error instead of reading unmapped
+        memory."""
+        with publish_graph(oriented) as publication:
+            view = SharedGraphView(publication.descriptor, oriented.device.model)
+            view.close()
+            with pytest.raises(PDTLError, match="is closed"):
+                view.scan_sources
+
     def test_tokens_are_unique(self, oriented):
         with publish_graph(oriented) as first, publish_graph(oriented) as second:
             assert first.descriptor.token != second.descriptor.token
@@ -299,6 +310,24 @@ class TestRunnerIntegration:
             assert shared.total_cpu_seconds == disk.total_cpu_seconds
             assert not disk.shm_used and shared.shm_used
 
+    @pytest.mark.skipif(
+        not _COMPILED_OK, reason=f"no compiled backend: {_COMPILED_TIER}"
+    )
+    def test_processes_shm_runs_compiled_block_kernel(self, rmat_small):
+        """Pool workers scanning the shared adjacency dispatch the same
+        fused block kernel as the on-disk path -- never the numpy chain."""
+        config = self._config(
+            scheduling="dynamic", trace=True, kernel_backend=_COMPILED_TIER
+        )
+        with kernel_backend.use(_COMPILED_TIER):
+            result = PDTLRunner(config, backend="processes").run(rmat_small)
+        assert result.triangles == forward_count(rmat_small)
+        counters = result.telemetry.counters
+        prefix = "worker.kernel.dispatch.mgt_block_scan"
+        assert counters.get(f"{prefix}.{_COMPILED_TIER}", 0) > 0
+        assert counters.get(f"{prefix}.numpy", 0) == 0
+        assert _segments_on_host() == []
+
     def test_straggler_spec_reroutes_chunks_and_keeps_counts(self, rmat_small):
         expected = forward_count(rmat_small)
         config = self._config(
@@ -314,168 +343,6 @@ class TestRunnerIntegration:
         assert slow.chunks_completed < fast.chunks_completed
         assert slow.chunks_completed + fast.chunks_completed == result.num_chunks
         assert _segments_on_host() == []
-
-
-class TestInputPublication:
-    """The input-graph publisher behind ``parallel_preprocess``."""
-
-    @pytest.fixture
-    def input_graph(self, tmp_path):
-        device = BlockDevice(tmp_path / "disk", block_size=512)
-        graph = CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=5))
-        return write_graph(device, "g", graph)
-
-    def test_roundtrip_carries_order_keys_not_scan_invariants(self, input_graph):
-        from repro.core.orientation import degree_order_keys
-
-        with publish_input_graph(input_graph) as publication:
-            descriptor = publication.descriptor
-            assert descriptor.order_keys is not None
-            assert descriptor.scan_sources is None and descriptor.scan_keys is None
-            view = SharedGraphView(descriptor, input_graph.device.model)
-            np.testing.assert_array_equal(
-                view.read_degrees(), input_graph.read_degrees()
-            )
-            np.testing.assert_array_equal(
-                view.read_adjacency_range(0, input_graph.num_edges),
-                input_graph.read_adjacency_range(0, input_graph.num_edges),
-            )
-            np.testing.assert_array_equal(
-                view.order_keys, degree_order_keys(input_graph.read_degrees())
-            )
-            assert not view.directed
-            with pytest.raises(PDTLError, match="scan invariants"):
-                view.scan_sources
-            with pytest.raises(PDTLError, match="scan invariants"):
-                view.scan_keys
-            view.close()
-        assert _segments_on_host() == []
-
-    def test_oriented_publication_has_no_order_keys(self, oriented):
-        with publish_graph(oriented) as publication:
-            assert publication.descriptor.order_keys is None
-            view = SharedGraphView(publication.descriptor, oriented.device.model)
-            with pytest.raises(PDTLError, match="degree-order keys"):
-                view.order_keys
-            view.close()
-
-    def test_closed_view_reports_closed_not_missing(self, oriented):
-        """Use-after-close must not be misdiagnosed as a publication that
-        lacked the derived arrays."""
-        with publish_graph(oriented) as publication:
-            view = SharedGraphView(publication.descriptor, oriented.device.model)
-            view.close()
-            with pytest.raises(PDTLError, match="is closed"):
-                view.scan_sources
-
-    def test_unlink_removes_input_segments(self, input_graph):
-        publication = publish_input_graph(input_graph)
-        names = [
-            publication.descriptor.degrees.name,
-            publication.descriptor.adjacency.name,
-            publication.descriptor.offsets.name,
-            publication.descriptor.order_keys.name,
-        ]
-        for name in names:
-            assert glob.glob(f"/dev/shm/{name}")
-        publication.unlink()
-        publication.unlink()  # idempotent
-        assert _segments_on_host() == []
-
-
-class TestParallelPreprocessLifecycle:
-    """Input-segment cleanup of ``PDTLConfig(parallel_preprocess=True)``
-    runs -- on success, on mid-run worker failure, and on the
-    shm-unavailable fallback path."""
-
-    def _config(self, **overrides) -> PDTLConfig:
-        base = dict(
-            num_nodes=2,
-            procs_per_node=2,
-            memory_per_proc=4096,
-            block_size=512,
-            modelled_cpu=True,
-            parallel_preprocess=True,
-        )
-        base.update(overrides)
-        return PDTLConfig(**base)
-
-    def test_no_segment_survives_a_run(self, rmat_small):
-        expected = forward_count(rmat_small)
-        for backend in ("serial", "threads", "processes"):
-            result = PDTLRunner(self._config(), backend=backend).run(rmat_small)
-            assert result.triangles == expected
-            assert result.preprocess_parallel
-            assert _segments_on_host() == [], backend
-
-    def test_no_segment_survives_with_shm_triangle_phase(self, rmat_small):
-        """Both publications -- input graph and oriented graph -- are
-        unlinked by the end of a combined shm + parallel_preprocess run."""
-        result = PDTLRunner(self._config(shm=True), backend="processes").run(rmat_small)
-        assert result.triangles == forward_count(rmat_small)
-        assert result.shm_used and result.preprocess_parallel
-        assert _segments_on_host() == []
-
-    def test_cleanup_when_preprocess_worker_raises(self, rmat_small, monkeypatch):
-        """A preprocessing task failing mid-fan-out must not leak the
-        input-graph segments (the runner unlinks in a finally)."""
-        import repro.cluster.executor as executor_mod
-
-        def boom(tasks, fn, max_workers=None):
-            raise RuntimeError("injected preprocessing failure")
-
-        monkeypatch.setattr(executor_mod, "run_preprocess_queue", boom)
-        with pytest.raises(RuntimeError, match="injected preprocessing failure"):
-            PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert _segments_on_host() == []
-
-    def test_cleanup_when_mgt_task_raises_after_preprocess(
-        self, rmat_small, monkeypatch
-    ):
-        """PR 3's leak check extended: with parallel preprocessing on, a
-        triangle-phase task exception still leaves /dev/shm clean."""
-        import repro.core.pdtl as pdtl_mod
-
-        def boom(task):
-            raise RuntimeError("injected task failure")
-
-        monkeypatch.setattr(pdtl_mod, "execute_chunk_task", boom)
-        with pytest.raises(RuntimeError, match="injected task failure"):
-            PDTLRunner(self._config(shm=True), backend="serial").run(rmat_small)
-        assert _segments_on_host() == []
-
-    def test_falls_back_with_warning_when_unavailable(self, rmat_small, monkeypatch):
-        import repro.core.pdtl as pdtl_mod
-
-        monkeypatch.setattr(
-            pdtl_mod, "shm_available", lambda: (False, "no /dev/shm mount")
-        )
-        with pytest.warns(RuntimeWarning, match="parallel_preprocess=True requested"):
-            result = PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert result.triangles == forward_count(rmat_small)
-        assert not result.preprocess_parallel
-        assert _segments_on_host() == []
-
-    def test_fallback_results_identical(self, rmat_small, monkeypatch):
-        """The fallback path's modelled numbers equal the parallel path's --
-        degrading hosts only lose wall clock, never accounting."""
-        reference = PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert reference.preprocess_parallel
-
-        import repro.core.pdtl as pdtl_mod
-
-        monkeypatch.setattr(
-            pdtl_mod, "shm_available", lambda: (False, "no /dev/shm mount")
-        )
-        with pytest.warns(RuntimeWarning):
-            fallback = PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert fallback.triangles == reference.triangles
-        assert fallback.calc_seconds == reference.calc_seconds
-        assert fallback.modelled_setup_seconds == reference.modelled_setup_seconds
-        assert (
-            fallback.metrics.setup_io_stats.as_dict()
-            == reference.metrics.setup_io_stats.as_dict()
-        )
 
 
 class TestAvailabilityGuard:

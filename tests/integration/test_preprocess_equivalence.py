@@ -1,9 +1,9 @@
 """Backend-equivalence matrix for the parallel preprocessing pipeline.
 
-The parallel preprocessing of this PR -- orientation chunks fanned over
-the persistent process pool against the published input graph, external-
-sort run formation fanned the same way -- must be *bit-identical* to the
-serial path in every observable the simulation produces:
+The parallel preprocessing -- orientation chunks filtered on threads,
+external-sort run formation fanned over the persistent process pool --
+must be *bit-identical* to the serial path in every observable the
+simulation produces:
 
 * the oriented graph's on-disk bytes (degree, adjacency and meta files);
 * the external sort's output file and its intermediate run files;
@@ -27,7 +27,7 @@ from repro.baselines.inmemory import forward_count
 from repro.core.config import PDTLConfig
 from repro.core.orientation import orient_graph
 from repro.core.pdtl import PDTLRunner
-from repro.core.shm import publish_input_graph, shm_available
+from repro.core.shm import shm_available
 from repro.externalmem.blockio import BlockDevice
 from repro.externalmem.extsort import (
     external_sort_edges,
@@ -72,30 +72,17 @@ class TestOrientationBitIdentity:
     """
 
     def _orient_on_fresh_device(
-        self, tmp_path, graph, label, num_workers, parallel=True, pooled=False
+        self, tmp_path, graph, label, num_workers, parallel=True
     ):
         device = BlockDevice(tmp_path / f"disk_{label}", block_size=512)
         gf = write_graph(device, "g", graph)
         staged = device.stats.snapshot()
-        if pooled:
-            publication = publish_input_graph(gf)
-            try:
-                result = orient_graph(
-                    gf,
-                    num_workers=num_workers,
-                    executor="processes",
-                    shared=publication.descriptor,
-                    output_name="oriented",
-                )
-            finally:
-                publication.unlink()
-        else:
-            result = orient_graph(
-                gf,
-                num_workers=num_workers,
-                parallel=parallel,
-                output_name="oriented",
-            )
+        result = orient_graph(
+            gf,
+            num_workers=num_workers,
+            parallel=parallel,
+            output_name="oriented",
+        )
         return device, result, staged, device.stats.snapshot()
 
     def test_oriented_bytes_identical(self, tmp_path, graph):
@@ -109,7 +96,6 @@ class TestOrientationBitIdentity:
         assert reference[".adj"], "reference orientation produced no adjacency"
         variants = {
             "threads": dict(num_workers=4, parallel=True),
-            "processes": dict(num_workers=4, pooled=True),
         }
         for label, kwargs in variants.items():
             device, *_ = self._orient_on_fresh_device(tmp_path, graph, label, **kwargs)
@@ -119,18 +105,15 @@ class TestOrientationBitIdentity:
                 ), (label, suffix)
 
     def test_accounting_bit_identical_across_executors(self, tmp_path, graph):
-        """With an identical work decomposition (4 chunks), the sequential,
-        threaded and pooled executors charge bit-identical accounting --
-        whole IOStats dict, modelled device seconds included."""
+        """With an identical work decomposition (4 chunks), the sequential
+        and threaded executors charge bit-identical accounting -- whole
+        IOStats dict, modelled device seconds included."""
         runs = {
             "sequential": self._orient_on_fresh_device(
                 tmp_path, graph, "acc_seq", num_workers=4, parallel=False
             ),
             "threads": self._orient_on_fresh_device(
                 tmp_path, graph, "acc_thr", num_workers=4, parallel=True
-            ),
-            "processes": self._orient_on_fresh_device(
-                tmp_path, graph, "acc_pool", num_workers=4, pooled=True
             ),
         }
         _, ref_result, ref_staged, ref_total = runs["sequential"]
@@ -148,7 +131,7 @@ class TestOrientationBitIdentity:
             tmp_path, graph, "one", num_workers=1, parallel=False
         )
         _, _, staged_4, total_4 = self._orient_on_fresh_device(
-            tmp_path, graph, "four", num_workers=4, pooled=True
+            tmp_path, graph, "four", num_workers=4, parallel=True
         )
         one = total_1.delta(staged_1)
         four = total_4.delta(staged_4)
@@ -226,7 +209,7 @@ class TestExtsortFormationBitIdentity:
 
 
 class TestRunMatrixEquivalence:
-    """Full PDTL runs: serial vs parallel preprocessing on every backend."""
+    """Full PDTL runs: the preprocessing accounting on every backend."""
 
     def _config(self, **overrides) -> PDTLConfig:
         base = dict(
@@ -254,15 +237,11 @@ class TestRunMatrixEquivalence:
         expected = forward_count(graph)
         reference = PDTLRunner(self._config(), backend="serial").run(graph)
         assert reference.triangles == expected
-        assert not reference.preprocess_parallel
         assert reference.modelled_setup_seconds > 0.0
         for backend in BACKENDS:
             for shm in (False, True):
-                result = PDTLRunner(
-                    self._config(parallel_preprocess=True, shm=shm), backend=backend
-                ).run(graph)
+                result = PDTLRunner(self._config(shm=shm), backend=backend).run(graph)
                 label = f"{backend}/shm={shm}"
-                assert result.preprocess_parallel, label
                 assert result.shm_used == shm, label
                 self._assert_equivalent(reference, result, label)
 
@@ -281,29 +260,13 @@ class TestRunMatrixEquivalence:
         assert reference.metrics.total_chunks_retried >= 1
         for backend in BACKENDS:
             result = PDTLRunner(
-                self._config(parallel_preprocess=True, shm=True, **injections),
+                self._config(shm=True, **injections),
                 backend=backend,
             ).run(skewed_graph)
-            assert result.preprocess_parallel, backend
             self._assert_equivalent(reference, result, backend)
 
-    def test_respects_disabled_parallel_orientation_chunking(self, graph):
-        """With parallel_orientation=False the chunk decomposition is one
-        window everywhere, so parallel_preprocess keeps the exact same
-        accounting (read_calls included) as the serial reference -- and the
-        shm-unavailable fallback of the same config is equivalent too."""
-        reference = PDTLRunner(
-            self._config(parallel_orientation=False), backend="serial"
-        ).run(graph)
-        pooled = PDTLRunner(
-            self._config(parallel_orientation=False, parallel_preprocess=True),
-            backend="serial",
-        ).run(graph)
-        assert pooled.preprocess_parallel
-        self._assert_equivalent(reference, pooled, "parallel_orientation=False")
-
     def test_setup_stats_within_scan_envelope(self, graph):
-        config = self._config(parallel_preprocess=True)
+        config = self._config()
         result = PDTLRunner(config, backend="serial").run(graph)
         estimate = estimate_setup_cost(graph, config)
         measured = result.metrics.setup_io_stats.total_blocks
@@ -313,15 +276,10 @@ class TestRunMatrixEquivalence:
         assert 0.5 * estimate.total_blocks <= measured <= 2.0 * estimate.total_blocks
 
     def test_edge_support_sink_unaffected(self, skewed_graph):
-        """The derived-analytics input (edge supports) is preprocessing-
+        """The derived-analytics input (edge supports) is backend-
         independent too."""
         config = self._config(count_only=False, sink="edge-support")
         reference = PDTLRunner(config, backend="serial").run(skewed_graph)
-        result = PDTLRunner(
-            self._config(
-                count_only=False, sink="edge-support", parallel_preprocess=True
-            ),
-            backend="processes",
-        ).run(skewed_graph)
+        result = PDTLRunner(config, backend="processes").run(skewed_graph)
         np.testing.assert_array_equal(result.edge_supports, reference.edge_supports)
         np.testing.assert_array_equal(result.oriented_edges, reference.oriented_edges)
