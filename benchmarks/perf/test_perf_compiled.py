@@ -10,15 +10,16 @@ code path under both kernel tiers (``kernel_backend.use``):
   peel (frontier scan + triangle kill + support decrement in one loop) vs
   the batched numpy peeler.
 
-Warm-JIT hygiene: the compiled tier is activated and explicitly warmed
-(``kernel_backend.warmup()``) before any timed region, so compile time
-never lands in the numbers.  Bit-identity is always asserted -- counts,
-IOStats dicts, modelled seconds, trussness, peel rounds -- under either
-tier; the ``COMPILED_MIN_SPEEDUP`` floor applies only in full mode (the
-tracked target is >=3x on both benchmarks).
+Warm-up hygiene: the compiled tier is activated and explicitly warmed
+(``kernel_backend.warmup()``) before any timed region, so building or
+loading the extension never lands in the numbers.  Bit-identity is
+always asserted -- counts, IOStats dicts, modelled seconds, trussness,
+peel rounds -- under either tier; the ``COMPILED_MIN_SPEEDUP`` floor
+applies only in full mode (the tracked target is >=3x on both
+benchmarks).
 
-Skips with a reason when no compiled backend (numba or cffi) is
-available on the machine, mirroring ``shm_available()``.
+Skips with a reason when the compiled cffi tier is unavailable on the
+machine (no cffi or no C compiler), mirroring ``shm_available()``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def _timed_under(tier: str, fn):
     """Best-of wall clock for ``fn`` with kernel tier ``tier`` active.
 
     The compiled tier is warmed inside ``use`` and outside the timed
-    region: the first touch of a numba kernel compiles it, and that cost
-    belongs to process startup, not to the benchmark.
+    region: the first activation in a process builds or loads the cffi
+    extension, and that cost belongs to process startup, not to the
+    benchmark.
     """
     with kernel_backend.use(tier):
         if tier != "numpy":

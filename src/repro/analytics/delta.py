@@ -83,6 +83,7 @@ import numpy as np
 
 from repro.analytics.truss import (
     TrussResult,
+    _incidence_csr,
     _triangle_edge_ids,
     canonical_edges,
 )
@@ -505,11 +506,7 @@ def _fixpoint_demote(
         # no triangle can be lost, or none remain: only seeds can drop (to 2)
         tau[work] = 2
         return tau, 0
-    flat = tri_edges.reshape(-1)
-    order = np.argsort(flat.astype(np.int32), kind="stable")
-    inc_triangles = order // 3
-    inc_ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
+    inc_ptr, inc_triangles = _incidence_csr(tri_edges.reshape(-1), m)
     inc_degrees = inc_ptr[1:] - inc_ptr[:-1]
 
     rounds = 0
@@ -633,10 +630,7 @@ def _replay_peel(
     if fused_incidence is not None:
         inc_ptr, inc_triangles = fused_incidence(flat, m)
     else:
-        order = np.argsort(flat, kind="stable")
-        inc_triangles = order // 3
-        inc_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
+        inc_ptr, inc_triangles = _incidence_csr(flat, m)
     inc_degrees = inc_ptr[1:] - inc_ptr[:-1]
 
     alive = np.ones(m, dtype=bool)

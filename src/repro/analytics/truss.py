@@ -211,6 +211,27 @@ def _triangle_edge_ids(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _incidence_csr(flat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge -> incident-triangle CSR ``(inc_ptr, inc_triangles)`` of the
+    ``3T`` triangle slots ``flat``: each edge's triangles in ascending id
+    order, i.e. a stable argsort of ``flat`` with slots mapped to rows.
+
+    The numpy path of the fused ``incidence_csr`` kernel.  The packed
+    ``edge * 3T + slot`` keys are unique, so one plain sort of them gives
+    the stable order (several times faster than a stable argsort); the
+    argsort remains for key ranges past int64.
+    """
+    flat = flat.astype(np.int64, copy=False)
+    slots = int(flat.shape[0])
+    if m * slots < 2**63:
+        order = np.sort(flat * slots + np.arange(slots, dtype=np.int64)) % slots
+    else:
+        order = np.argsort(flat, kind="stable")
+    inc_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
+    return inc_ptr, order // 3
+
+
 def truss_decomposition(
     graph: CSRGraph,
     supports: np.ndarray | None = None,
@@ -272,8 +293,8 @@ def truss_decomposition(
             )
     initial_support = support.copy()
 
-    # edge -> incident-triangle CSR: one stable argsort of the 3T slots
-    # (or, on the compiled tier, one stable counting-sort pass -- same
+    # edge -> incident-triangle CSR: one sort of the 3T slots (or, on the
+    # compiled tier, one stable counting-sort pass -- same
     # inc_ptr/inc_triangles bit for bit)
     from repro.core import kernel_backend
 
@@ -282,10 +303,7 @@ def truss_decomposition(
     if fused_incidence is not None:
         inc_ptr, inc_triangles = fused_incidence(flat, m)
     else:
-        order = np.argsort(flat, kind="stable")
-        inc_triangles = order // 3  # slot index -> owning triangle id
-        inc_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
+        inc_ptr, inc_triangles = _incidence_csr(flat, m)
     inc_degrees = inc_ptr[1:] - inc_ptr[:-1]
 
     alive = np.ones(m, dtype=bool)

@@ -7,15 +7,18 @@ model a high-end data center, with multiple processors per machine, or
 even just a single computer with low available memory."*
 
 :class:`PDTLConfig` captures exactly that tuple plus the block size ``B``
-of the I/O model and a couple of implementation knobs (the ``c`` constant
-of the small-degree assumption and whether load balancing / parallel
-orientation are enabled).
+of the I/O model, the implementation knobs of the algorithm (the ``c``
+constant of the small-degree assumption, load balancing, scheduling,
+fault injection) and two host-side knobs -- ``shm`` and
+``kernel_backend`` -- that sit strictly below the accounting layer and
+change wall-clock time only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.core.kernel_backend import BACKEND_NAMES
 from repro.core.triangles import CHUNK_SINK_KINDS, normalize_sink_kind
 from repro.errors import ConfigurationError
 from repro.externalmem.blockio import DEFAULT_BLOCK_SIZE
@@ -120,35 +123,17 @@ class PDTLConfig:
         bit-identical with it on or off.  On platforms
         without POSIX shared memory the runner falls back to the on-disk
         path with a warning (see :func:`repro.core.shm.shm_available`).
-    readahead_bytes:
-        when positive, each MGT worker scans the adjacency file through a
-        private aligned read-ahead buffer of this size (see
-        :meth:`repro.graph.binfmt.GraphFile.set_readahead`).  Purely a
-        host-side wall-clock optimisation: it sits below the accounting
-        layer, so :class:`~repro.externalmem.iostats.IOStats` block counts
-        and modelled device seconds are bit-identical with it on or off.
-        Accepts human-readable sizes (``"1MB"``); ``0`` disables.
-    mmap_reads:
-        when True, every simulated block device serves file reads from a
-        cached read-only ``mmap`` of the file instead of issuing one
-        ``pread`` syscall per logical read
-        (:class:`~repro.externalmem.blockio.BlockDevice`).  Strictly below
-        the accounting layer: every logical read is still charged at its
-        exact offset and length, so
-        :class:`~repro.externalmem.iostats.IOStats` block counts and
-        modelled device seconds are bit-identical with the flag on or off
-        -- only host wall-clock changes.
     kernel_backend:
         which kernel tier evaluates the hot sorted-intersection loops
         (:mod:`repro.core.kernel_backend`): ``"auto"`` (default) picks the
-        best available of numba, cffi and numpy; ``"numpy"`` pins the
-        always-available vectorised tier; ``"numba"``/``"cffi"`` request a
-        compiled tier and degrade to numpy with a :class:`RuntimeWarning`
-        when unavailable.  Strictly below the accounting layer: triangle
-        counts, listing order, :class:`~repro.externalmem.iostats.IOStats`
-        and modelled times are bit-identical across tiers (the
-        backend-equivalence suite asserts it), only host wall-clock
-        changes.  Worker processes re-apply the knob from the pickled
+        compiled cffi tier when it is available and numpy otherwise;
+        ``"numpy"`` pins the always-available vectorised tier (the oracle);
+        ``"cffi"`` requests the compiled tier and degrades to numpy with a
+        :class:`RuntimeWarning` when unavailable.  Strictly below the
+        accounting layer: triangle counts, listing order,
+        :class:`~repro.externalmem.iostats.IOStats` and modelled times are
+        bit-identical across tiers (the backend-equivalence suite asserts
+        it), only host wall-clock changes.  Worker processes re-apply the knob from the pickled
         config, so one setting governs every execution backend.
     trace:
         when True, the runner records a hierarchical span trace of the run
@@ -178,18 +163,13 @@ class PDTLConfig:
     straggler_spec: tuple[tuple[int, float], ...] = ()
     host_jitter_seconds: float = 0.0
     modelled_cpu: bool = False
-    readahead_bytes: int = 0
     shm: bool = False
-    mmap_reads: bool = False
     kernel_backend: str = "auto"
     trace: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory_per_proc", parse_size(self.memory_per_proc))
         object.__setattr__(self, "block_size", parse_size(self.block_size))
-        # parse_size rejects negative sizes (ValueError), matching how
-        # memory_per_proc and block_size are validated above
-        object.__setattr__(self, "readahead_bytes", parse_size(self.readahead_bytes))
         if self.num_nodes <= 0:
             raise ConfigurationError(f"num_nodes must be positive, got {self.num_nodes}")
         if self.procs_per_node <= 0:
@@ -252,9 +232,9 @@ class PDTLConfig:
             raise ConfigurationError("host_jitter_seconds must be non-negative")
         object.__setattr__(self, "host_jitter_seconds", float(self.host_jitter_seconds))
         kernel_backend = str(self.kernel_backend).lower()
-        if kernel_backend not in ("auto", "numpy", "numba", "cffi"):
+        if kernel_backend not in BACKEND_NAMES:
             raise ConfigurationError(
-                "kernel_backend must be one of 'auto', 'numpy', 'numba', 'cffi', "
+                f"kernel_backend must be one of {BACKEND_NAMES}, "
                 f"got {self.kernel_backend!r}"
             )
         object.__setattr__(self, "kernel_backend", kernel_backend)

@@ -3,17 +3,15 @@
 :mod:`repro.core.kernels` evaluates every hot path with batched numpy.
 That tier is always available, but each primitive is still 3-5 full-array
 passes with materialised intermediates (packed keys, segment gathers,
-boolean masks).  This module manages an optional *compiled* tier that fuses
-each chain into one allocation-free loop:
+boolean masks).  This module manages the one optional *compiled* tier,
+which fuses each chain into one allocation-free loop:
 
-* ``numba`` -- :mod:`repro.core.kernels_compiled`, ``@njit(cache=True,
-  nogil=True)`` twins of the numpy kernels (used by the CI ``compiled``
-  leg, where numba is installed);
-* ``cffi`` -- :mod:`repro.core.kernels_cffi`, the same loops as C compiled
-  once into a cached extension module (used where a C compiler exists but
-  numba does not);
+* ``cffi`` -- :mod:`repro.core.kernels_cffi`, the loops as C compiled once
+  into a cached extension module (available wherever cffi and a C compiler
+  are);
 * ``numpy`` -- no registry at all; the public functions fall through to
-  their ``_*_numpy`` bodies.
+  their ``_*_numpy`` bodies.  It is the oracle the compiled tier is
+  checked against.
 
 Selection
 ---------
@@ -21,21 +19,21 @@ Selection
 The requested backend comes from, in priority order, an explicit
 :func:`activate`/:func:`ensure` call (``PDTLConfig.kernel_backend`` routes
 through :func:`ensure`), the ``KERNEL_BACKEND`` environment variable, and
-the default ``"auto"``.  ``auto`` resolves silently to the best available
-tier (numba, then cffi, then numpy).  Explicitly requesting an unavailable
+the default ``"auto"``.  ``auto`` resolves silently to cffi when it is
+available and to numpy otherwise.  Explicitly requesting an unavailable
 backend degrades to numpy with a :class:`RuntimeWarning` rather than
 failing: the compiled tier is an accelerator, never a correctness
 dependency.
 
 Availability is *per function*: :func:`activate` warms every registered
 kernel on a miniature graph and checks it against its numpy twin
-(:data:`repro.core.kernels.NUMPY_IMPLS`); a kernel that fails to JIT,
+(:data:`repro.core.kernels.NUMPY_IMPLS`); a kernel that fails to build,
 crashes, or disagrees is dropped from the registry with a
 :class:`RuntimeWarning` while the rest of the tier stays active.  Dispatch
 happens inside :mod:`repro.core.kernels` (primitives) and via
 :func:`fused` (the multi-pass entry points of the MGT worker, the
 edge-support sink and the truss peeler), so a dropped kernel simply means
-that one call sites falls back to numpy.
+that one call site falls back to numpy.
 
 Every implementation is bit-identical to the numpy tier by contract:
 triangle counts, listing order, edge supports, IOStats and the modelled
@@ -74,10 +72,10 @@ __all__ = [
 ]
 
 #: Accepted values for ``KERNEL_BACKEND`` / ``PDTLConfig.kernel_backend``.
-BACKEND_NAMES = ("auto", "numpy", "numba", "cffi")
+BACKEND_NAMES = ("auto", "numpy", "cffi")
 
-#: The backends that actually compile (``auto`` resolution order).
-COMPILED_BACKENDS = ("numba", "cffi")
+#: The backends that actually compile.
+COMPILED_BACKENDS = ("cffi",)
 
 #: Registry names of the fused multi-pass entry points (everything else in
 #: a backend registry is a primitive dispatched inside ``kernels``).
@@ -107,7 +105,7 @@ _dispatch_counts: dict[str, int] = {}
 def dispatch_counts() -> dict[str, int]:
     """Copy of this process's fused-kernel dispatch counts.
 
-    Keys are ``"<kernel>.<backend>"`` (``"mgt_block_scan.numba"``,
+    Keys are ``"<kernel>.<backend>"`` (``"mgt_block_scan.cffi"``,
     ``"edge_support_accumulate.numpy"``); a :func:`fused` call that found no
     compiled implementation counts as a numpy dispatch, since that is the
     path the caller takes.
@@ -128,10 +126,6 @@ def _warn(key: str, message: str) -> None:
 
 def _load_backend(name: str) -> dict[str, Callable]:
     """Import + build the registry for a compiled backend (may raise)."""
-    if name == "numba":
-        from repro.core import kernels_compiled
-
-        return kernels_compiled.build_registry()
     if name == "cffi":
         from repro.core import kernels_cffi
 
@@ -170,19 +164,14 @@ def backend_available(name: str) -> tuple[bool, str]:
 
 
 def compiled_available() -> tuple[bool, str]:
-    """``(available, detail)`` for the best compiled tier on this machine.
+    """``(available, detail)`` for the compiled tier on this machine.
 
-    ``detail`` is the backend name (``"numba"`` or ``"cffi"``) when
-    available, and the combined unavailability reasons otherwise -- shaped
-    for ``pytest.mark.skipif`` skip-with-reason, like ``shm_available()``.
+    ``detail`` is the backend name (``"cffi"``) when available, and the
+    unavailability reason otherwise -- shaped for ``pytest.mark.skipif``
+    skip-with-reason, like ``shm_available()``.
     """
-    reasons = []
-    for name in COMPILED_BACKENDS:
-        ok, detail = backend_available(name)
-        if ok:
-            return True, name
-        reasons.append(f"{name}: {detail}")
-    return False, "; ".join(reasons)
+    ok, detail = backend_available("cffi")
+    return (True, "cffi") if ok else (False, f"cffi: {detail}")
 
 
 def _warmup_cases() -> dict[str, tuple]:
@@ -278,7 +267,7 @@ def _warm_registry(
 ) -> list[str]:
     """Run every registered kernel once; drop (and report) the ones that fail.
 
-    This is both JIT warmup (compile outside any timed or modelled region)
+    This is both warmup (build outside any timed or modelled region)
     and the partial-availability mechanism: a kernel that raises or
     disagrees with its numpy twin on the miniature input is removed so its
     call sites fall back to numpy, while the rest of the tier stays on.
@@ -310,9 +299,9 @@ def _warm_registry(
 def activate(name: str) -> str:
     """Select the kernel tier; returns the backend actually in effect.
 
-    ``auto`` picks the best available silently; an explicit ``numba`` or
-    ``cffi`` that is unavailable falls back to ``numpy`` with a
-    :class:`RuntimeWarning` (once per backend per process).
+    ``auto`` picks cffi when available and numpy otherwise, silently; an
+    explicit ``cffi`` that is unavailable falls back to ``numpy`` with a
+    :class:`RuntimeWarning` (once per process).
     """
     global _requested, _resolved
     name = str(name).lower()
@@ -322,11 +311,7 @@ def activate(name: str) -> str:
         )
     resolved = name
     if name == "auto":
-        resolved = "numpy"
-        for candidate in COMPILED_BACKENDS:
-            if backend_available(candidate)[0]:
-                resolved = candidate
-                break
+        resolved = "cffi" if backend_available("cffi")[0] else "numpy"
     elif name in COMPILED_BACKENDS:
         ok, detail = backend_available(name)
         if not ok:

@@ -38,12 +38,12 @@ Dispatch seam
 -------------
 
 Each batch primitive below may be routed to a compiled implementation
-registered by :mod:`repro.core.kernel_backend` (numba- or cffi-compiled
-loops that fuse the gather → intersect → count chain without the
-intermediate arrays).  The numpy bodies live on as ``_*_numpy`` twins --
-they are the always-available fallback, the per-function escape hatch when
-a single compiled kernel is unavailable, and the reference the compiled
-tier is property-tested against (:data:`NUMPY_IMPLS`).  Compiled or not,
+registered by :mod:`repro.core.kernel_backend` (the cffi-compiled loops
+of :mod:`repro.core.kernels_cffi`, which fuse the gather → intersect →
+count chain without the intermediate arrays).  The numpy bodies live on
+as ``_*_numpy`` twins -- they are the always-available fallback, the
+per-function escape hatch when a single compiled kernel is unavailable,
+and the reference the compiled tier is property-tested against (:data:`NUMPY_IMPLS`).  Compiled or not,
 every implementation must return bit-identical values: same counts, same
 element order, same deterministic ``operations`` work measure.
 """

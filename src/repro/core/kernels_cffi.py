@@ -1,12 +1,12 @@
 """C (cffi) implementations of the hot kernels, bit-identical to numpy.
 
-This is the compiled tier used where a C compiler is available but numba
-is not: the same fused loops as :mod:`repro.core.kernels_compiled`,
-written once as C and built with cffi's out-of-line API mode into an
-extension module cached on disk (``PDTL_KERNEL_CACHE`` or a per-user
-temp directory, keyed by a hash of the source).  The first process to
-run pays one ``gcc`` invocation (~1-2 s); every later process loads the
-cached ``.so``.
+This is the one compiled tier, available wherever cffi and a C compiler
+are: each hot kernel fuses its gather → intersect → count chain into one
+allocation-free loop, written once as C and built with cffi's out-of-line
+API mode into an extension module cached on disk (``PDTL_KERNEL_CACHE``
+or a per-user temp directory, keyed by a hash of the source).  The first
+process to run pays one ``gcc`` invocation (~1-2 s); every later process
+loads the cached ``.so``.
 
 Semantics are pinned to the numpy twins in
 :data:`repro.core.kernels.NUMPY_IMPLS`:
@@ -23,7 +23,7 @@ Semantics are pinned to the numpy twins in
   contract.
 
 C calls release the GIL (cffi does so around every call), so the threads
-execution backend scales the same way the numba tier's ``nogil`` loops do.
+execution backend can overlap kernels across worker threads.
 """
 
 from __future__ import annotations

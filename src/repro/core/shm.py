@@ -27,7 +27,7 @@ segments so workers slice memory windows zero-copy:
   and serves every subsequent chunk task from the existing mapping.
 
 Everything here sits strictly below the accounting layer, like the fd
-cache and the read-ahead buffer in :mod:`repro.externalmem.blockio`: the
+cache in :mod:`repro.externalmem.blockio`: the
 publication reads the graph files raw (no block charges), and a view never
 touches an :class:`~repro.externalmem.iostats.IOStats` counter -- the MGT
 worker keeps charging its modelled reads exactly as before.
@@ -442,10 +442,6 @@ class SharedGraphView:
                 f"bounds (shared graph has {self.num_edges} entries)"
             )
         return self._adjacency[start_edge : start_edge + count]
-
-    def with_readahead(self, buffer_bytes: int | str) -> "SharedGraphView":
-        """Read-ahead is meaningless for memory-resident data: no-op."""
-        return self
 
     # -- lifecycle ---------------------------------------------------------------------
 

@@ -312,31 +312,3 @@ class TestCompiledTierEquivalence:
                 compiled.per_vertex_counts, plain.per_vertex_counts, err_msg=label
             )
             assert int(compiled.per_vertex_counts.sum()) == 3 * expected, label
-
-
-class TestMmapReadsEquivalence:
-    """``mmap_reads`` is a host-side read strategy strictly below the
-    accounting layer: every modelled quantity must be bit-identical with
-    the flag on or off, on every backend."""
-
-    def test_mmap_on_off_bit_identical(self, graph, expected):
-        reference = _run(graph, "dynamic", "serial", False, sink_kind="edge-support")
-        for label, backend, shm in _backends():
-            mapped = _run(
-                graph,
-                "dynamic",
-                backend,
-                shm,
-                sink_kind="edge-support",
-                mmap_reads=True,
-            )
-            assert mapped.triangles == expected, label
-            assert mapped.calc_seconds == reference.calc_seconds, label
-            assert mapped.total_io_seconds == reference.total_io_seconds, label
-            np.testing.assert_array_equal(
-                mapped.edge_supports, reference.edge_supports, err_msg=label
-            )
-            for ours, theirs in zip(mapped.workers, reference.workers):
-                assert (
-                    ours.result.io_stats.as_dict() == theirs.result.io_stats.as_dict()
-                ), label

@@ -75,6 +75,18 @@ class TestValidation:
         hash(cfg)  # frozen config stays hashable with the new spec tuples
 
 
+    @pytest.mark.parametrize("tier", ["auto", "numpy", "cffi"])
+    def test_kernel_backend_accepts_each_tier(self, tier):
+        # cffi is accepted whether or not it is built here: availability is
+        # resolved (with a numpy fallback) when the tier is activated
+        assert PDTLConfig(kernel_backend=tier.upper()).kernel_backend == tier
+
+    @pytest.mark.parametrize("knob", ["readahead_bytes", "mmap_reads"])
+    def test_removed_host_read_knobs_rejected(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            PDTLConfig(**{knob: 1})
+
+
 class TestDerivedQuantities:
     def test_total_processors_and_memory(self):
         cfg = PDTLConfig(num_nodes=3, procs_per_node=4, memory_per_proc=1024 * 1024)

@@ -3,9 +3,9 @@
 The contract under test: selection (env var, config knob, explicit
 activation), graceful degradation (unavailable backend -> numpy with a
 RuntimeWarning; a single failing kernel -> dropped from the registry while
-the rest of the tier stays on), probe caching, and the warm-JIT hygiene
+the rest of the tier stays on), probe caching, and the warm-up hygiene
 guarantee that a compiled kernel's first and second calls return identical
-results (compilation must affect wall clock only, never values).
+results (building must affect wall clock only, never values).
 """
 
 from __future__ import annotations
@@ -63,6 +63,16 @@ class TestSelection:
         ok, detail = kernel_backend.backend_available("fortran")
         assert not ok and "fortran" in detail
 
+    def test_compiled_tier_is_the_cffi_probe(self):
+        assert kernel_backend.BACKEND_NAMES == ("auto", "numpy", "cffi")
+        assert kernel_backend.COMPILED_BACKENDS == ("cffi",)
+        ok, detail = kernel_backend.backend_available("cffi")
+        assert kernel_backend.compiled_available() == (
+            (True, "cffi") if ok else (False, f"cffi: {detail}")
+        )
+        ok, detail = kernel_backend.backend_available("numba")
+        assert not ok and "numba" in detail
+
     def test_activate_numpy_clears_registry(self):
         assert kernel_backend.activate("numpy") == "numpy"
         assert kernels._ACTIVE_IMPLS == {}
@@ -83,18 +93,24 @@ class TestSelection:
         assert kernel_backend.initialize_default() == "numpy"
 
     def test_invalid_env_var_warns_and_uses_auto(self, monkeypatch):
-        monkeypatch.setenv("KERNEL_BACKEND", "turbo")
-        kernels._BACKEND_READY = False
-        kernel_backend._requested = None
-        kernel_backend._resolved = None
-        kernel_backend._warned.discard("env:turbo")
-        with pytest.warns(RuntimeWarning, match="KERNEL_BACKEND"):
-            resolved = kernel_backend.initialize_default()
-        assert resolved in ("numpy",) + kernel_backend.COMPILED_BACKENDS
+        auto = "cffi" if kernel_backend.backend_available("cffi")[0] else "numpy"
+        # "numba" is not a kernel tier: it is as unknown as any other value
+        for value in ("turbo", "numba"):
+            monkeypatch.setenv("KERNEL_BACKEND", value)
+            kernels._BACKEND_READY = False
+            kernel_backend._requested = None
+            kernel_backend._resolved = None
+            kernel_backend._warned.discard(f"env:{value}")
+            with pytest.warns(RuntimeWarning, match="ignoring KERNEL_BACKEND"):
+                resolved = kernel_backend.initialize_default()
+            assert resolved == auto, value
+            assert kernel_backend._requested == "auto", value
 
     def test_config_knob_validation(self):
         with pytest.raises(ConfigurationError, match="kernel_backend"):
             PDTLConfig(kernel_backend="cython")
+        with pytest.raises(ConfigurationError, match="kernel_backend"):
+            PDTLConfig(kernel_backend="numba")
         assert PDTLConfig(kernel_backend="NumPy").kernel_backend == "numpy"
         assert PDTLConfig().kernel_backend == "auto"
 
@@ -114,9 +130,9 @@ class TestGracefulFallback:
         monkeypatch.setattr(kernel_backend, "_load_backend", broken)
         kernel_backend._probe_cache.clear()
         kernel_backend._registry_cache.clear()
-        kernel_backend._warned.discard("fallback:numba")
+        kernel_backend._warned.discard("fallback:cffi")
         with pytest.warns(RuntimeWarning, match="falling back to the numpy tier"):
-            assert kernel_backend.activate("numba") == "numpy"
+            assert kernel_backend.activate("cffi") == "numpy"
         assert kernels._ACTIVE_IMPLS == {}
 
     def test_auto_degrades_to_numpy_silently(self, monkeypatch):
@@ -164,7 +180,7 @@ class TestPartialAvailability:
             "sorted_membership": kernels.NUMPY_IMPLS["sorted_membership"],
             # a kernel that cannot even run once
             "count_cone_range": lambda *args: (_ for _ in ()).throw(
-                RuntimeError("jit exploded")
+                RuntimeError("build exploded")
             ),
         }
         return registry
@@ -217,7 +233,7 @@ class TestCompiledTier:
 
     def test_first_and_second_calls_identical(self):
         """Compilation must never leak into values: a freshly activated
-        kernel's first call (which may JIT) and its second call return
+        kernel's first call (which may build it) and its second call return
         bit-identical results."""
         kernel_backend._registry_cache.pop(_COMPILED_DETAIL, None)
         kernel_backend._probe_cache.pop(_COMPILED_DETAIL, None)

@@ -124,12 +124,6 @@ class TestPublishAttach:
         # unlink dropped the same-process cached attachment too
         assert _segments_on_host() == []
 
-    def test_with_readahead_is_noop(self, oriented):
-        with publish_graph(oriented) as publication:
-            view = SharedGraphView(publication.descriptor, oriented.device.model)
-            assert view.with_readahead("1MB") is view
-            view.close()
-
 
 class TestLifecycle:
     def test_unlink_removes_segments_and_is_idempotent(self, oriented):

@@ -241,6 +241,19 @@ class TestTraceArtifacts:
             if key.endswith(".hit_rate"):
                 assert 0.0 <= value <= 1.0, key
 
+    def test_blockio_counters_report_the_fd_cache(self, graph):
+        """The disk path's one host-side read layer is the fd cache: its
+        hits and misses are the only ``blockio`` counters a run exports."""
+        for backend in ("serial", "processes"):
+            counters = _run(graph, backend, False, True).telemetry.counters
+            blockio = {key for key in counters if ".blockio." in key}
+            assert blockio, backend
+            assert {key.rsplit(".blockio.", 1)[1] for key in blockio} <= {
+                "fd_cache.hits",
+                "fd_cache.misses",
+            }, backend
+            assert counters.get("worker.blockio.fd_cache.hits", 0) > 0, backend
+
     def test_worker_tracks_cover_all_chunks(self, graph):
         telemetry = _run(graph, "serial", False, True).telemetry
         placed = sorted(

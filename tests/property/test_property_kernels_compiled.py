@@ -1,18 +1,10 @@
 """Property tests: every compiled kernel against its numpy twin.
 
-Each available compiled registry is driven through the adversarial input
-families the extsort fallback work (PR 5) established as the danger zone:
-empty arrays, single elements, duplicate-heavy values and negative ids --
-plus random graphs for the structural kernels.  Three registries can be
-under test:
-
-* ``python`` -- the numba kernel *bodies* run as plain Python
-  (:func:`repro.core.kernels_compiled.build_python_registry`); always
-  available, so the numba logic is exercised even where numba is not
-  installed;
-* ``cffi`` -- the C implementations, where a compiler is present;
-* ``numba`` -- the JIT-compiled registry, where numba is installed (the
-  CI ``compiled`` leg).
+The cffi registry (:mod:`repro.core.kernels_cffi`, the one compiled tier)
+is driven through the adversarial input families of the external sort's
+fallback paths: empty arrays, single elements, duplicate-heavy values and
+negative ids -- plus random graphs for the structural kernels.  On a host
+without cffi or a C toolchain the module skips with the probe's reason.
 
 The fused entry points (``mgt_block_scan``, ``edge_support_accumulate``,
 ``truss_peel_level``, ``triangle_edge_ids``, ``incidence_csr``) have no
@@ -31,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analytics.truss import truss_decomposition
-from repro.core import kernels, kernels_compiled
+from repro.core import kernel_backend, kernels, kernels_cffi
 from repro.core.orientation import orient_csr
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
@@ -43,22 +35,14 @@ SETTINGS = dict(
 )
 
 
-def _available_registries() -> list[tuple[str, dict]]:
-    registries = [("python", kernels_compiled.build_python_registry())]
-    try:
-        from repro.core import kernels_cffi
+_CFFI_OK, _CFFI_DETAIL = kernel_backend.backend_available("cffi")
+if not _CFFI_OK:
+    pytest.skip(
+        f"cffi kernel tier unavailable: {_CFFI_DETAIL}", allow_module_level=True
+    )
 
-        registries.append(("cffi", kernels_cffi.build_registry()))
-    except Exception:  # noqa: BLE001 - no C toolchain: cffi leg skipped
-        pass
-    if kernels_compiled.NUMBA_AVAILABLE:
-        registries.append(("numba", kernels_compiled.build_registry()))
-    return registries
-
-
-REGISTRIES = _available_registries()
 REGISTRY_PARAMS = pytest.mark.parametrize(
-    "registry", [r for _, r in REGISTRIES], ids=[name for name, _ in REGISTRIES]
+    "registry", [kernels_cffi.build_registry()], ids=["cffi"]
 )
 
 
