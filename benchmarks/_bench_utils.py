@@ -6,9 +6,21 @@ unique module name regardless of how pytest assembles its rootdir.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
-RESULTS_DIR = Path(__file__).parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: ``PDTL_RECORD_BENCH=1`` records the tracked outputs (the tables under
+#: ``benchmarks/results/`` and ``BENCH_pdtl.json`` at the repo root).
+#: Without it every table, trace and perf record goes to the git-ignored
+#: ``.bench_out/tier1/``, so running the suite leaves the tree unchanged.
+RECORD = os.environ.get("PDTL_RECORD_BENCH") == "1"
+
+#: where this run writes: the tracked tables when recording, else scratch
+RESULTS_DIR = (
+    Path(__file__).parent / "results" if RECORD else REPO_ROOT / ".bench_out" / "tier1"
+)
 
 #: The datasets every comparison-style benchmark sweeps over, mapped to the
 #: paper dataset each one stands in for.
@@ -34,7 +46,7 @@ SCALING_DATASETS = ("twitter", "yahoo", "rmat-12", "rmat-13")
 
 
 def write_result(results_dir: Path, experiment: str, text: str) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
+    """Print a result table and persist it under ``results_dir``."""
     print("\n" + text)
     results_dir.mkdir(parents=True, exist_ok=True)
     path = results_dir / f"{experiment}.txt"

@@ -4,8 +4,10 @@ Every benchmark module regenerates one table or figure of the paper's
 evaluation section on the scaled-down analogue datasets.  Conventions:
 
 * each benchmark prints its table (in the paper's row/column layout) and
-  also appends it to ``benchmarks/results/<experiment>.txt`` so the numbers
-  survive the pytest run;
+  also writes it to ``<experiment>.txt`` under ``_bench_utils.RESULTS_DIR``
+  so the numbers survive the pytest run -- the git-ignored
+  ``.bench_out/tier1/``, or the tracked ``benchmarks/results/`` when
+  ``PDTL_RECORD_BENCH=1``;
 * wall-clock measurements use ``benchmark.pedantic`` with a single round --
   the quantity of interest is the *relative* shape across configurations,
   not micro-timing stability;

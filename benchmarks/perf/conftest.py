@@ -4,10 +4,13 @@ The harness times the vectorised hot paths against the retained pre-PR
 reference implementations on a ~100k-edge power-law graph and persists the
 numbers twice:
 
-* ``BENCH_pdtl.json`` at the repo root -- machine-readable, uploaded as a
-  CI artifact so future PRs inherit a perf trajectory;
-* ``benchmarks/results/perf_vectorization.txt`` -- the human-readable
-  before/after table.
+* ``BENCH_pdtl.json`` -- machine-readable, uploaded as a CI artifact;
+* ``perf_vectorization.txt`` -- the human-readable before/after table.
+
+Both land in the git-ignored ``.bench_out/tier1/``.  The tracked copies
+(``BENCH_pdtl.json`` at the repo root and
+``benchmarks/results/perf_vectorization.txt``) change only when a run sets
+``PDTL_RECORD_BENCH=1`` to record them on purpose.
 
 Set ``PDTL_PERF_QUICK=1`` (the CI perf-smoke job does) to run on a ~25k
 edge graph with a single timing repetition and **without** the speedup
@@ -28,13 +31,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent.parent))
-from _bench_utils import RESULTS_DIR, write_result  # noqa: E402
+from _bench_utils import RECORD, REPO_ROOT, RESULTS_DIR, write_result  # noqa: E402
 
 from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.graph.generators import power_law_degree_graph  # noqa: E402
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pdtl.json"
+BENCH_JSON = (REPO_ROOT if RECORD else RESULTS_DIR) / "BENCH_pdtl.json"
 
 QUICK = bool(os.environ.get("PDTL_PERF_QUICK"))
 #: timing repetitions (min is reported); 1 in quick mode
@@ -135,6 +137,7 @@ class _PerfReport:
             "graph": self.graph_info,
             "benchmarks": entries,
         }
+        BENCH_JSON.parent.mkdir(parents=True, exist_ok=True)
         BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         lines = [
             "Perf microbenchmarks -- vectorised hot paths vs pre-PR references",

@@ -174,8 +174,9 @@ def compiled_available() -> tuple[bool, str]:
     return (True, "cffi") if ok else (False, f"cffi: {detail}")
 
 
-def _warmup_cases() -> dict[str, tuple]:
-    """Miniature inputs exercising every registered kernel once.
+def _warmup_cases() -> dict[str, tuple | list[tuple]]:
+    """Miniature inputs exercising every registered kernel once (a list
+    runs a kernel once per mode).
 
     The graph is the oriented triangle-plus-tail 0->{1,2}, 1->2, 3->{} --
     small enough that compiling dominates, complete enough that every
@@ -211,16 +212,26 @@ def _warmup_cases() -> dict[str, tuple]:
         "count_cone_range": (indptr, indices, 0, 4),
         "edge_intersections": (indptr, indices, us, vs, True),
         "edge_common_neighbors": (indptr, indices, us, vs),
-        "mgt_block_scan": (
-            block_adj,
-            block_offsets,
-            edg,
-            0,
-            2,
-            win_offsets,
-            win_degrees,
-            True,
-        ),
+        "mgt_block_scan": [
+            (block_adj, block_offsets, edg, 0, 2, win_offsets, win_degrees, True),
+            # the resident mode: the whole graph as one block, scanned
+            # through its in-edge index (0 <- {}, 1 <- {0}, 2 <- {0, 1})
+            (
+                indices,
+                indptr,
+                edg,
+                0,
+                2,
+                win_offsets,
+                win_degrees,
+                True,
+                np.array([0, 0, 1], dtype=np.int64),
+                np.array([1, 2, 6], dtype=np.int64),
+                np.array([0, 0, 1, 3, 3], dtype=np.int64),
+                np.array([0, 1, 2], dtype=np.int64),
+            ),
+        ],
+        "in_edge_index": (indices, 4),
         "edge_support_accumulate": (edge_keys, us, vs, ws, 4, support),
         "truss_peel_level": (
             3,
@@ -249,7 +260,7 @@ def _check_warm_result(name: str, args: tuple, got) -> None:
     """Compare a primitive's warmup output against its numpy twin."""
     twin = kernels.NUMPY_IMPLS.get(name)
     if twin is None:
-        return  # fused kernels are checked by the equivalence suites
+        return  # the other fused kernels are checked by the equivalence suites
     if name == "edge_intersections":
         indptr, indices, us, vs, per_edge = args
         want = twin(indptr, indices, us, vs, None, per_edge)
@@ -275,14 +286,17 @@ def _warm_registry(
     dropped: list[str] = []
     cases = _warmup_cases()
     for name in list(registry):
-        args = cases.get(name)
-        if args is None:
+        case = cases.get(name)
+        if case is None:
             continue
-        # fresh copies: warmup kernels mutate their output arrays
-        args = tuple(np.copy(x) if isinstance(x, np.ndarray) else x for x in args)
         try:
-            got = registry[name](*args)
-            _check_warm_result(name, args, got)
+            for args in case if isinstance(case, list) else [case]:
+                # fresh copies: warmup kernels mutate their output arrays
+                args = tuple(
+                    np.copy(x) if isinstance(x, np.ndarray) else x for x in args
+                )
+                got = registry[name](*args)
+                _check_warm_result(name, args, got)
         except Exception as exc:  # noqa: BLE001 - degrade per function
             del registry[name]
             dropped.append(f"{name}: {type(exc).__name__}: {exc}")

@@ -28,7 +28,13 @@ shares one implementation:
   evaluated for a whole contiguous cone-vertex range per call;
 * :func:`edge_intersections` -- the same identity for an arbitrary batch
   of oriented edges (the PowerGraph vertex-cut layout, where a machine's
-  edges are not a contiguous range).
+  edges are not a contiguous range);
+* :func:`unique_pairs` -- sort and deduplicate ``(source, destination)``
+  rows through their packed keys (the edge-list normalisation);
+* :func:`in_edge_index` -- the adjacency positions grouped by destination,
+  so a scan can visit only the entries pointing into a vertex range;
+* ``NUMPY_IMPLS["mgt_block_scan"]`` -- the numpy body of the MGT inner
+  loop, over a swept block or over a resident graph's in-edge index.
 
 All functions are pure and operate on plain numpy arrays, so they serve
 the in-memory baselines, the external-memory MGT inner loop (which gathers
@@ -71,6 +77,8 @@ __all__ = [
     "count_cone_range",
     "edge_intersections",
     "edge_common_neighbors",
+    "unique_pairs",
+    "in_edge_index",
 ]
 
 #: Compiled implementations installed by :func:`repro.core.kernel_backend.activate`,
@@ -113,7 +121,10 @@ MAX_PACKABLE_VERTICES = 3037000499
 
 
 def packed_keys(
-    sources: np.ndarray, destinations: np.ndarray, num_vertices: int
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    num_vertices: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pack ``(source, destination)`` pairs into single int64 keys.
 
@@ -124,7 +135,8 @@ def packed_keys(
     Raises :class:`~repro.errors.PDTLError` when ``num_vertices`` exceeds
     :data:`MAX_PACKABLE_VERTICES` -- beyond that the products silently wrap
     around int64 and the "monotone, therefore sorted" guarantee every caller
-    builds on is gone.
+    builds on is gone.  ``out``, when given, receives the keys (an int64
+    array of the broadcast shape).
     """
     if num_vertices > MAX_PACKABLE_VERTICES:
         raise PDTLError(
@@ -134,9 +146,11 @@ def packed_keys(
             f"(num_vertices**2 - 1 must stay <= 2**63 - 1), and wrapped keys "
             f"would break the sorted-key membership tests"
         )
-    return np.asarray(sources, dtype=np.int64) * np.int64(num_vertices) + np.asarray(
-        destinations, dtype=np.int64
+    keys = np.multiply(
+        np.asarray(sources, dtype=np.int64), np.int64(num_vertices), out=out
     )
+    keys += np.asarray(destinations, dtype=np.int64)
+    return keys
 
 
 def csr_packed_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -488,6 +502,165 @@ def _edge_common_neighbors_numpy(
     return owners[found], ev_all[found]
 
 
+def unique_pairs(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Sorted distinct rows of an ``(m, 2)`` array of ids in ``[0, n)``.
+
+    Equal to ``np.unique(pairs, axis=0)``, computed through the packed keys:
+    one 1-D sort, a mask keeping each key that differs from its
+    predecessor, and the ``divmod`` back to rows -- orders of magnitude
+    faster than the row-wise unique.  Beyond :data:`MAX_PACKABLE_VERTICES`
+    the keys would overflow, so the row-wise unique runs instead.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if num_vertices > MAX_PACKABLE_VERTICES:
+        return np.unique(pairs, axis=0)
+    if pairs.shape[0] == 0:
+        return pairs.copy()
+    keys = packed_keys(pairs[:, 0], pairs[:, 1], num_vertices)
+    keys.sort()
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    out = np.empty((keys.shape[0], 2), dtype=np.int64)
+    np.divmod(keys, np.int64(num_vertices), out=(out[:, 0], out[:, 1]))
+    return out
+
+
+def in_edge_index(
+    adjacency: np.ndarray,
+    num_vertices: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the positions of an adjacency array by destination.
+
+    Returns ``(in_offsets, in_positions)``: ``in_offsets`` (length ``n + 1``)
+    are the exclusive prefix sums of the in-degrees, and
+    ``in_positions[in_offsets[v] : in_offsets[v + 1]]`` are the positions
+    ``p`` with ``adjacency[p] == v``, ascending -- i.e. ``in_positions`` is
+    ``np.argsort(adjacency, kind="stable")``.  A scan that only cares about
+    the entries pointing into a vertex range reads them from here instead
+    of sweeping the whole adjacency.  ``out``, when given, is the pair of
+    contiguous int64 arrays (lengths ``n + 1`` and ``E``) that receives it.
+    """
+    impl = _impl("in_edge_index")
+    if impl is not None:
+        return impl(adjacency, num_vertices, out)
+    return _in_edge_index_numpy(adjacency, num_vertices, out)
+
+
+def _in_edge_index_numpy(
+    adjacency: np.ndarray,
+    num_vertices: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    adjacency = np.asarray(adjacency, dtype=np.int64)
+    num_edges = int(adjacency.shape[0])
+    if out is None:
+        out = (
+            np.empty(num_vertices + 1, dtype=np.int64),
+            np.empty(num_edges, dtype=np.int64),
+        )
+    in_offsets, in_positions = out
+    in_offsets[0] = 0
+    np.cumsum(np.bincount(adjacency, minlength=num_vertices), out=in_offsets[1:])
+    if num_edges == 0:
+        pass
+    elif num_vertices * num_edges <= 2**63:
+        # (destination, position) keys are distinct, so a plain sort is the
+        # stable argsort -- and several times faster than one
+        keys = adjacency * np.int64(num_edges) + np.arange(num_edges, dtype=np.int64)
+        keys.sort()
+        np.remainder(keys, np.int64(num_edges), out=in_positions)
+    else:
+        in_positions[:] = np.argsort(adjacency, kind="stable")
+    return in_offsets, in_positions
+
+
+def _mgt_block_scan_numpy(
+    block_adj: np.ndarray,
+    block_offsets: np.ndarray,
+    edg: np.ndarray,
+    vlow: int,
+    vhigh: int,
+    win_offsets: np.ndarray,
+    win_degrees: np.ndarray,
+    want_triples: bool,
+    entry_sources: np.ndarray | None = None,
+    block_keys: np.ndarray | None = None,
+    in_offsets: np.ndarray | None = None,
+    in_positions: np.ndarray | None = None,
+) -> tuple:
+    """The MGT inner loop over one block of cone vertices, in numpy.
+
+    For every adjacency entry ``(u, v)`` of the block whose ``v`` has
+    out-edges in the memory window ``[vlow, vhigh]``, intersect ``N(u)``
+    with ``v``'s in-window out-list ``E_v``:
+
+    1. find the candidate pairs -- by sweeping the block for entries that
+       point into the window or, given the in-edge index of a whole-graph
+       block (``in_offsets``/``in_positions``, see :func:`in_edge_index`),
+       by gathering the positions of the window vertices' in-edges and
+       sorting them, so the pairs come out in sweep order;
+    2. gather the ``E_v`` lists of all pairs into one flat array
+       (:func:`segment_gather`);
+    3. test ``w ∈ N(u)`` for every gathered element with one binary search
+       against the block's sorted packed ``(u, w)`` keys.
+
+    ``entry_sources``/``block_keys`` are the block's per-entry source
+    vertices and packed keys; they are derived unless given (a resident
+    graph publishes both).  ``block_keys``, when given, must be packed with
+    the block's vertex count ``len(block_offsets) - 1`` -- a cache, not an
+    independent input; the compiled twin never materialises keys.
+
+    Returns ``(pairs, total, hits, cones, vs, ws)``: the number of
+    (cone, out-neighbour) pairs intersected, the number of gathered ``E_v``
+    elements, the number of triangles found and, with ``want_triples``,
+    their block-relative cones, pivots and third vertices in sweep order
+    (``None`` otherwise).
+    """
+    nbv = int(block_offsets.shape[0] - 1)
+    if entry_sources is None:
+        entry_sources = window_sources(block_offsets, 0, nbv)
+    if in_positions is not None:
+        targets = np.flatnonzero(win_degrees > 0) + np.int64(vlow)
+        starts = in_offsets[targets]
+        positions, _ = segment_gather(in_positions, starts, in_offsets[targets + 1] - starts)
+        positions.sort()
+        pair_u = entry_sources[positions]
+        pair_v = block_adj[positions]
+    else:
+        in_span = (block_adj >= vlow) & (block_adj <= vhigh)
+        candidates = np.zeros(block_adj.shape[0], dtype=bool)
+        candidates[in_span] = win_degrees[block_adj[in_span] - vlow] > 0
+        pair_u = entry_sources[candidates]
+        pair_v = block_adj[candidates]
+    num_pairs = int(pair_u.shape[0])
+
+    seg_lengths = win_degrees[pair_v - vlow]
+    total = int(seg_lengths.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64) if want_triples else None
+        return num_pairs, 0, 0, empty, empty, empty
+    ev_all, pair_ids = segment_gather(edg, win_offsets[pair_v - vlow], seg_lengths)
+
+    # the block adjacency is sorted by (source, destination), so its packed
+    # keys are sorted and the query (u, w) hits exactly when (u, w) is an edge
+    if block_keys is None:
+        n = 1 + max(nbv, int(block_adj.max()), int(ev_all.max()))
+        block_keys = packed_keys(entry_sources, block_adj, n)
+    else:
+        n = nbv
+    found = _sorted_membership_numpy(
+        block_keys, packed_keys(pair_u[pair_ids], ev_all, n)
+    )
+    hits = int(np.count_nonzero(found))
+    if not want_triples:
+        return num_pairs, total, hits, None, None, None
+    hit_pairs = pair_ids[found]
+    return num_pairs, total, hits, pair_u[hit_pairs], pair_v[hit_pairs], ev_all[found]
+
+
 #: The pure-numpy reference implementation of every dispatched primitive,
 #: by registry name.  Compiled backends are property-tested against these
 #: twins, and :func:`repro.core.kernel_backend.warmup` sanity-checks each
@@ -500,4 +673,6 @@ NUMPY_IMPLS = {
     "count_cone_range": _count_cone_range_numpy,
     "edge_intersections": _edge_intersections_numpy,
     "edge_common_neighbors": _edge_common_neighbors_numpy,
+    "in_edge_index": _in_edge_index_numpy,
+    "mgt_block_scan": _mgt_block_scan_numpy,
 }

@@ -15,7 +15,8 @@ Semantics are pinned to the numpy twins in
   (duplicate queries each count, duplicate haystack entries do not);
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
-  an entry in ``N⁺(v)`` order;
+  an entry in ``N⁺(v)`` order -- also when ``mgt_block_scan`` visits a
+  resident graph through its in-edge index, whose positions it sorts;
 * ``operations`` is the deterministic scanned + gathered work measure, so
   modelled CPU seconds are identical under either tier;
 * ``edge_support_accumulate`` rolls back every applied increment before
@@ -69,6 +70,18 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
                             const int64_t *win_offsets, const int64_t *win_degrees,
                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
                             int64_t *pairs, int64_t *total);
+void pdtl_mgt_index_bound(const int64_t *in_offsets, int64_t vlow, int64_t vhigh,
+                          const int64_t *win_degrees, int64_t *pairs, int64_t *total);
+int64_t pdtl_mgt_index_scan(const int64_t *adj, const int64_t *offsets,
+                            const int64_t *sources, const int64_t *in_offsets,
+                            const int64_t *in_positions, int64_t num_edges,
+                            const int64_t *edg, int64_t vlow, int64_t vhigh,
+                            const int64_t *win_offsets, const int64_t *win_degrees,
+                            int64_t *pos, int64_t *tmp,
+                            int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *pairs, int64_t *total);
+void pdtl_in_edge_index(const int64_t *adj, int64_t m, int64_t n,
+                        int64_t *in_offsets, int64_t *in_positions, int64_t *cursor);
 int64_t pdtl_edge_support_accumulate(const int64_t *edge_keys, int64_t m,
                                      int64_t nvert, const int64_t *us,
                                      const int64_t *vs, const int64_t *ws,
@@ -290,6 +303,35 @@ void pdtl_mgt_block_bound(const int64_t *block_adj, const int64_t *block_offsets
     *total = t;
 }
 
+/* one MGT pair: intersect the cone's out-list nu (du entries) with the
+ * in-window out-list ev (d entries) of its out-neighbour v; lists the hits
+ * as (cone, v, w) in ev order when want, else only counts them */
+static int64_t pdtl_mgt_pair(const int64_t *nu, int64_t du, const int64_t *ev,
+                             int64_t d, int64_t want, int64_t cone, int64_t v,
+                             int64_t *cones, int64_t *vs, int64_t *ws, int64_t nhit) {
+    if (!want) return nhit + pdtl_isect_count(nu, du, ev, d);
+    if (du > 32 * d) {
+        for (int64_t j = 0; j < d; j++) {
+            int64_t w = ev[j];
+            int64_t pos = pdtl_lower_bound(nu, du, w);
+            if (pos < du && nu[pos] == w) {
+                cones[nhit] = cone; vs[nhit] = v; ws[nhit] = w; nhit++;
+            }
+        }
+    } else {
+        int64_t i = 0;
+        for (int64_t j = 0; j < d; j++) {
+            int64_t w = ev[j];
+            while (i < du && nu[i] < w) i++;
+            if (i >= du) break;
+            if (nu[i] == w) {
+                cones[nhit] = cone; vs[nhit] = v; ws[nhit] = w; nhit++;
+            }
+        }
+    }
+    return nhit;
+}
+
 int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offsets,
                             int64_t nbv, const int64_t *edg,
                             int64_t vlow, int64_t vhigh,
@@ -303,39 +345,91 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
         for (int64_t p = 0; p < du; p++) {
             int64_t v = nu[p];
             int64_t d;
-            const int64_t *ev;
             if (v < vlow || v > vhigh) continue;
             d = win_degrees[v - vlow];
             if (d <= 0) continue;
             npairs++;
             t += d;
-            ev = edg + win_offsets[v - vlow];
-            if (want) {
-                if (du > 32 * d) {
-                    for (int64_t j = 0; j < d; j++) {
-                        int64_t w = ev[j];
-                        int64_t pos = pdtl_lower_bound(nu, du, w);
-                        if (pos < du && nu[pos] == w) {
-                            cones[nhit] = bu; vs[nhit] = v; ws[nhit] = w; nhit++;
-                        }
-                    }
-                } else {
-                    int64_t i = 0;
-                    for (int64_t j = 0; j < d; j++) {
-                        int64_t w = ev[j];
-                        while (i < du && nu[i] < w) i++;
-                        if (i >= du) break;
-                        if (nu[i] == w) {
-                            cones[nhit] = bu; vs[nhit] = v; ws[nhit] = w; nhit++;
-                        }
-                    }
-                }
-            } else {
-                nhit += pdtl_isect_count(nu, du, ev, d);
-            }
+            nhit = pdtl_mgt_pair(nu, du, edg + win_offsets[v - vlow], d, want,
+                                 bu, v, cones, vs, ws, nhit);
         }
     }
     *pairs = npairs;
+    *total = t;
+    return nhit;
+}
+
+/* pairs/total of an index scan: the in-degrees of the window vertices with
+ * in-window out-edges, and those weighted by the in-window degree */
+void pdtl_mgt_index_bound(const int64_t *in_offsets, int64_t vlow, int64_t vhigh,
+                          const int64_t *win_degrees, int64_t *pairs, int64_t *total) {
+    int64_t npairs = 0, t = 0;
+    for (int64_t v = vlow; v <= vhigh; v++) {
+        int64_t d = win_degrees[v - vlow];
+        if (d > 0) {
+            int64_t c = in_offsets[v + 1] - in_offsets[v];
+            npairs += c;
+            t += c * d;
+        }
+    }
+    *pairs = npairs;
+    *total = t;
+}
+
+/* ascending sort of n distinct positions below bound: LSD radix sort with
+ * 11-bit digits through tmp (insertion sort for short runs) */
+static void pdtl_sort_positions(int64_t *a, int64_t *tmp, int64_t n, int64_t bound) {
+    int64_t count[2049];
+    int64_t *src = a, *dst = tmp;
+    if (n <= 32) {
+        for (int64_t i = 1; i < n; i++) {
+            int64_t x = a[i], j = i;
+            while (j > 0 && a[j - 1] > x) { a[j] = a[j - 1]; j--; }
+            a[j] = x;
+        }
+        return;
+    }
+    for (int shift = 0; shift < 63 && (bound - 1) >> shift; shift += 11) {
+        int64_t *swap;
+        for (int b = 0; b <= 2048; b++) count[b] = 0;
+        for (int64_t i = 0; i < n; i++) count[((src[i] >> shift) & 2047) + 1]++;
+        for (int b = 0; b < 2048; b++) count[b + 1] += count[b];
+        for (int64_t i = 0; i < n; i++) dst[count[(src[i] >> shift) & 2047]++] = src[i];
+        swap = src; src = dst; dst = swap;
+    }
+    if (src != a) for (int64_t i = 0; i < n; i++) a[i] = src[i];
+}
+
+/* the block scan over a whole resident graph, visiting only the entries
+ * that point into the window: the window vertices' in-edge positions are
+ * gathered into pos (capacity: the bound's pairs) and sorted, so the pairs
+ * -- and the listed triangles -- come in the sweep's order */
+int64_t pdtl_mgt_index_scan(const int64_t *adj, const int64_t *offsets,
+                            const int64_t *sources, const int64_t *in_offsets,
+                            const int64_t *in_positions, int64_t num_edges,
+                            const int64_t *edg, int64_t vlow, int64_t vhigh,
+                            const int64_t *win_offsets, const int64_t *win_degrees,
+                            int64_t *pos, int64_t *tmp,
+                            int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *pairs, int64_t *total) {
+    int64_t npos = 0, t = 0, nhit = 0;
+    for (int64_t v = vlow; v <= vhigh; v++) {
+        if (win_degrees[v - vlow] <= 0) continue;
+        for (int64_t k = in_offsets[v]; k < in_offsets[v + 1]; k++)
+            pos[npos++] = in_positions[k];
+    }
+    pdtl_sort_positions(pos, tmp, npos, num_edges);
+    for (int64_t k = 0; k < npos; k++) {
+        int64_t p = pos[k];
+        int64_t u = sources[p];
+        int64_t v = adj[p];
+        int64_t d = win_degrees[v - vlow];
+        t += d;
+        nhit = pdtl_mgt_pair(adj + offsets[u], offsets[u + 1] - offsets[u],
+                             edg + win_offsets[v - vlow], d, want,
+                             u, v, cones, vs, ws, nhit);
+    }
+    *pairs = npos;
     *total = t;
     return nhit;
 }
@@ -494,6 +588,19 @@ int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
         }
     }
     return nhit;
+}
+
+/* in-edge index by counting sort: positions appended to their destination's
+ * bucket in increasing order, which is exactly np.argsort(adj, kind="stable") */
+void pdtl_in_edge_index(const int64_t *adj, int64_t m, int64_t n,
+                        int64_t *in_offsets, int64_t *in_positions, int64_t *cursor) {
+    for (int64_t v = 0; v <= n; v++) in_offsets[v] = 0;
+    for (int64_t p = 0; p < m; p++) in_offsets[adj[p] + 1]++;
+    for (int64_t v = 0; v < n; v++) {
+        in_offsets[v + 1] += in_offsets[v];
+        cursor[v] = in_offsets[v];
+    }
+    for (int64_t p = 0; p < m; p++) in_positions[cursor[adj[p]]++] = p;
 }
 
 /* edge -> incident-triangle CSR by stable counting sort of the 3T slots:
@@ -684,39 +791,97 @@ def build_registry() -> dict[str, Callable]:
         return int(total)
 
     def mgt_block_scan(
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, want_triples
+        block_adj,
+        block_offsets,
+        edg,
+        vlow,
+        vhigh,
+        win_offsets,
+        win_degrees,
+        want_triples,
+        entry_sources=None,
+        block_keys=None,
+        in_offsets=None,
+        in_positions=None,
     ):
+        # block_keys is the numpy twin's membership cache: the C loops
+        # intersect the out-lists directly and never need it
         block_adj = as_i64(block_adj)
         block_offsets = as_i64(block_offsets)
         edg = as_i64(edg)
         win_offsets = as_i64(win_offsets)
         win_degrees = as_i64(win_degrees)
+        vlow = int(vlow)
+        vhigh = int(vhigh)
         nbv = block_offsets.shape[0] - 1
         pairs = ffi.new("int64_t *")
         total = ffi.new("int64_t *")
-        if not want_triples:
-            nhit = lib.pdtl_mgt_block_scan(
-                ptr(block_adj), ptr(block_offsets), nbv, ptr(edg),
-                int(vlow), int(vhigh), ptr(win_offsets), ptr(win_degrees),
-                0, ffi.NULL, ffi.NULL, ffi.NULL, pairs, total,
+        if in_positions is not None:
+            from repro.core.kernels import window_sources
+
+            in_offsets = as_i64(in_offsets)
+            in_positions = as_i64(in_positions)
+            if entry_sources is None:
+                entry_sources = window_sources(block_offsets, 0, nbv)
+            entry_sources = as_i64(entry_sources)
+            lib.pdtl_mgt_index_bound(
+                ptr(in_offsets), vlow, vhigh, ptr(win_degrees), pairs, total
             )
-            return int(pairs[0]), int(total[0]), int(nhit), None, None, None
-        lib.pdtl_mgt_block_bound(
-            ptr(block_adj), ptr(block_offsets), nbv, int(vlow), int(vhigh),
-            ptr(win_degrees), pairs, total,
-        )
-        cap = int(total[0])
+            pos = np.empty(int(pairs[0]), dtype=np.int64)
+            tmp = np.empty_like(pos)
+            cap = int(total[0]) if want_triples else 0
+
+            def scan(want, cones, vs, ws):
+                return lib.pdtl_mgt_index_scan(
+                    ptr(block_adj), ptr(block_offsets), ptr(entry_sources),
+                    ptr(in_offsets), ptr(in_positions), block_adj.shape[0],
+                    ptr(edg), vlow, vhigh, ptr(win_offsets), ptr(win_degrees),
+                    wptr(pos), wptr(tmp), want, cones, vs, ws, pairs, total,
+                )
+        else:
+
+            def scan(want, cones, vs, ws):
+                return lib.pdtl_mgt_block_scan(
+                    ptr(block_adj), ptr(block_offsets), nbv, ptr(edg),
+                    vlow, vhigh, ptr(win_offsets), ptr(win_degrees),
+                    want, cones, vs, ws, pairs, total,
+                )
+
+            if want_triples:
+                lib.pdtl_mgt_block_bound(
+                    ptr(block_adj), ptr(block_offsets), nbv, vlow, vhigh,
+                    ptr(win_degrees), pairs, total,
+                )
+                cap = int(total[0])
+        if not want_triples:
+            nhit = int(scan(0, ffi.NULL, ffi.NULL, ffi.NULL))
+            return int(pairs[0]), int(total[0]), nhit, None, None, None
         cones = np.empty(cap, dtype=np.int64)
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
-        nhit = int(
-            lib.pdtl_mgt_block_scan(
-                ptr(block_adj), ptr(block_offsets), nbv, ptr(edg),
-                int(vlow), int(vhigh), ptr(win_offsets), ptr(win_degrees),
-                1, wptr(cones), wptr(vs), wptr(ws), pairs, total,
-            )
-        )
+        nhit = int(scan(1, wptr(cones), wptr(vs), wptr(ws)))
         return int(pairs[0]), int(total[0]), nhit, cones[:nhit], vs[:nhit], ws[:nhit]
+
+    def in_edge_index(adjacency, num_vertices, out=None):
+        adjacency = as_i64(adjacency)
+        n = int(num_vertices)
+        m = adjacency.shape[0]
+        if out is None:
+            out = (np.empty(n + 1, dtype=np.int64), np.empty(m, dtype=np.int64))
+        in_offsets, in_positions = out
+        for array, length in ((in_offsets, n + 1), (in_positions, m)):
+            if array.dtype != np.int64 or array.shape != (length,):
+                raise TypeError(f"out arrays must be int64 of lengths {n + 1}, {m}")
+        if m and (adjacency.min() < 0 or adjacency.max() >= n):
+            raise ValueError(f"adjacency entries must lie in [0, {n})")
+        if m:
+            cursor = np.empty(n, dtype=np.int64)
+            lib.pdtl_in_edge_index(
+                ptr(adjacency), m, n, wptr(in_offsets), wptr(in_positions), wptr(cursor)
+            )
+        else:
+            in_offsets[:] = 0
+        return in_offsets, in_positions
 
     def edge_support_accumulate(edge_keys, us, vs, ws, num_vertices, support):
         if support.dtype != np.int64 or not support.flags.c_contiguous:
@@ -789,6 +954,7 @@ def build_registry() -> dict[str, Callable]:
         "count_cone_range": count_cone_range,
         "edge_intersections": edge_intersections,
         "mgt_block_scan": mgt_block_scan,
+        "in_edge_index": in_edge_index,
         "edge_support_accumulate": edge_support_accumulate,
         "truss_peel_level": truss_peel_level,
         "triangle_edge_ids": triangle_edge_ids,

@@ -17,7 +17,18 @@ that the membership structures are *sorted arrays*, not hash sets -- the
 intersection ``N(u) ∩ E_v`` is a sorted-array intersection -- which in turn
 requires the adjacency file to be sorted by source and destination.  This
 module implements exactly that variant, with the intersection realised as
-a vectorised ``searchsorted`` over numpy arrays.
+a vectorised ``searchsorted`` over numpy arrays (or the fused loop of the
+compiled tier).
+
+On disk, step 2 reads and sweeps every scan block per window: that scan
+is the I/O the paper's cost model charges.  When the graph is resident in
+shared memory (:class:`~repro.core.shm.SharedGraphView`), the worker still
+charges the paper's full scan block by block, but computes step 2 by
+visiting only the window's in-edges: the published in-edge index lists,
+for every window vertex ``v``, the adjacency positions of the entries
+``(u, v)``, and those positions are visited in ascending order -- the
+order of the sweep.  Triangles, listing order, pair and operation counts
+and every modelled number are therefore identical on both paths.
 
 :class:`MGTWorker` additionally supports the PDTL restriction to a
 *contiguous edge range* ``[range_start, range_stop)``: only memory windows
@@ -44,7 +55,7 @@ from repro.graph.binfmt import GraphFile
 from repro.obs.tracer import NULL_TRACER
 from repro.utils import ceil_div, prefix_sums
 
-__all__ = ["MGTWorker", "MGTResult", "mgt_count"]
+__all__ = ["MGTWorker", "MGTResult", "mgt_count", "window_index"]
 
 _ITEM_BYTES = 8  # int64 adjacency entries
 
@@ -153,6 +164,39 @@ class MGTWorker:
             self.graph.device.model.transfer_time(nbytes, sequential)
         )
 
+    def _scan_plan(self, offsets: np.ndarray) -> tuple[list, tuple]:
+        """The full-graph scan of every window, derived once per run.
+
+        The scan reads the graph in blocks of vertices (batched to keep it
+        sequential) and those blocks are the same in every window.  Returns
+        the non-empty blocks as ``(first_vertex, stop_vertex, first_edge,
+        num_edges)`` and the modelled charge of reading them, one read per
+        block, as :meth:`IOStats.record_reads` arguments.
+        """
+        n = self.graph.num_vertices
+        step = max(self.config.block_items // 2, 1024)
+        starts = np.arange(0, n, step, dtype=np.int64)
+        stops = np.minimum(starts + step, n)
+        first_edges = offsets[starts]
+        counts = offsets[stops] - first_edges
+        keep = counts > 0
+        blocks = list(
+            zip(
+                starts[keep].tolist(),
+                stops[keep].tolist(),
+                first_edges[keep].tolist(),
+                counts[keep].tolist(),
+            )
+        )
+        nbytes = [count * _ITEM_BYTES for *_, count in blocks]
+        model = self.graph.device.model
+        charge = (
+            sum(ceil_div(b, self.config.block_size) for b in nbytes),
+            sum(nbytes),
+            [model.transfer_time(b, True) for b in nbytes],
+        )
+        return blocks, charge
+
     # -- the algorithm ---------------------------------------------------------------
 
     def run(self, sink: TriangleSink | None = None) -> MGTResult:
@@ -190,14 +234,15 @@ class MGTWorker:
         self.budget.allocate("nmp", dmax * _ITEM_BYTES)
 
         window_start = self.range_start
-        total_range = self.range_stop - self.range_start
         edges_processed = 0
+        scan_blocks, scan_charge = self._scan_plan(offsets)
 
         # A shared-memory graph view holds the whole adjacency in memory and
-        # publishes the scan invariants (per-entry sources + sorted packed
-        # keys), so each window's full-graph scan runs as ONE block over the
-        # zero-copy adjacency instead of a per-block loop of reads.  The
-        # modelled reads are still charged block by block, identically.
+        # publishes the scan invariants (per-entry sources, sorted packed
+        # keys, in-edge index), so each window's full-graph scan runs as ONE
+        # block over the zero-copy adjacency that visits only the entries
+        # pointing into the window, instead of a per-block loop of reads.
+        # The modelled reads of the paper's full scan are charged either way.
         resident = isinstance(self.graph, SharedGraphView)
 
         # hot loop: only build window spans when tracing is actually on, so
@@ -229,58 +274,18 @@ class MGTWorker:
             self.budget.allocate("edg", edg.nbytes)
 
             t0 = time.thread_time()
-            # vertices whose out-lists overlap this window
-            vlow = int(np.searchsorted(offsets, window_start, side="right")) - 1
-            vhigh = int(np.searchsorted(offsets, window_stop, side="left")) - 1
-            vhigh = max(vhigh, vlow)
-            span = vhigh - vlow + 1
-            # ind: per-vertex (offset into edg, in-window degree)
-            win_offsets = np.zeros(span, dtype=np.int64)
-            win_degrees = np.zeros(span, dtype=np.int64)
-            vs = np.arange(vlow, vhigh + 1, dtype=np.int64)
-            starts = np.maximum(offsets[vs], window_start)
-            stops = np.minimum(offsets[vs + 1], window_stop)
-            lengths = np.maximum(stops - starts, 0)
-            win_offsets[:] = starts - window_start
-            win_degrees[:] = lengths
+            vlow, vhigh, win_offsets, win_degrees = window_index(
+                offsets, window_start, window_stop
+            )
             self.budget.allocate("ind", win_offsets.nbytes + win_degrees.nbytes)
             cpu_seconds += time.thread_time() - t0
 
             # ---- scan the whole graph vertex by vertex ----------------------------
-            scan_block_vertices = max(
-                self.config.block_items // 2, 1024
-            )  # batch reads to keep the scan sequential
+            self.io_stats.record_reads(*scan_charge, sequential=True)
             window_pairs = 0
-            v = 0
-            while v < self.graph.num_vertices:
-                hi = min(v + scan_block_vertices, self.graph.num_vertices)
-                block_start_edge = int(offsets[v])
-                block_edge_count = int(offsets[hi] - offsets[v])
-                if block_edge_count:
-                    self._charge_read(block_edge_count, sequential=True)
-                    if not resident:
-                        block_adj = self.graph.read_adjacency_range(
-                            block_start_edge, block_edge_count
-                        )
-                        t0 = time.thread_time()
-                        pairs, block_ops = self._process_block(
-                            sink,
-                            block_adj,
-                            offsets[v : hi + 1] - offsets[v],
-                            first_vertex=v,
-                            edg=edg,
-                            vlow=vlow,
-                            vhigh=vhigh,
-                            win_offsets=win_offsets,
-                            win_degrees=win_degrees,
-                        )
-                        window_pairs += pairs
-                        cpu_operations += block_ops
-                        cpu_seconds += time.thread_time() - t0
-                v = hi
             if resident:
                 t0 = time.thread_time()
-                pairs, block_ops = self._process_block(
+                window_pairs, block_ops = self._process_block(
                     sink,
                     self.graph.read_adjacency_range(0, self.graph.num_edges),
                     offsets,
@@ -292,10 +297,29 @@ class MGTWorker:
                     win_degrees=win_degrees,
                     entry_sources=self.graph.scan_sources,
                     block_keys=self.graph.scan_keys,
+                    in_offsets=self.graph.in_offsets,
+                    in_positions=self.graph.in_positions,
                 )
-                window_pairs += pairs
                 cpu_operations += block_ops
                 cpu_seconds += time.thread_time() - t0
+            else:
+                for v, hi, first_edge, num_edges in scan_blocks:
+                    block_adj = self.graph.read_adjacency_range(first_edge, num_edges)
+                    t0 = time.thread_time()
+                    pairs, block_ops = self._process_block(
+                        sink,
+                        block_adj,
+                        offsets[v : hi + 1] - first_edge,
+                        first_vertex=v,
+                        edg=edg,
+                        vlow=vlow,
+                        vhigh=vhigh,
+                        win_offsets=win_offsets,
+                        win_degrees=win_degrees,
+                    )
+                    window_pairs += pairs
+                    cpu_operations += block_ops
+                    cpu_seconds += time.thread_time() - t0
             intersections += window_pairs
 
             self.budget.release("edg")
@@ -334,109 +358,72 @@ class MGTWorker:
         vhigh: int,
         win_offsets: np.ndarray,
         win_degrees: np.ndarray,
-        entry_sources: np.ndarray | None = None,
-        block_keys: np.ndarray | None = None,
+        **resident,
     ) -> tuple[int, int]:
         """Run the MGT inner loop for one scanned block of cone vertices.
 
         The loop body of Algorithm 2 -- build ``N⁺(u)`` and intersect
         ``N(u) ∩ E_v`` for every ``v ∈ N⁺(u)`` -- is evaluated for *all* cone
-        vertices of the block at once with array operations:
-
-        1. mark every adjacency entry ``(u, v)`` whose ``v`` has out-edges in
-           the current memory window (these are exactly the ``N⁺(u)``
-           memberships);
-        2. gather the in-window out-lists ``E_v`` of all marked pairs into one
-           flat array (:func:`repro.core.kernels.segment_gather`);
-        3. test membership ``w ∈ N(u)`` for all gathered elements with a
-           single binary search against the block's (sorted) packed ``(u, w)``
-           key array (:func:`repro.core.kernels.sorted_membership`) -- the
-           same sorted-array intersection the paper's modified MGT performs,
-           just batched.
-
-        The gather/membership machinery is shared with the in-memory
-        baselines through :mod:`repro.core.kernels`; the only MGT-specific
-        part is that ``E_v`` segments come from the memory window ``edg``
-        addressed by ``win_offsets``/``win_degrees`` rather than from the
-        full adjacency.  ``entry_sources``/``block_keys`` -- the block's
-        per-entry sources and packed keys -- are derived here unless the
-        caller passes them precomputed (a shared-memory view publishes both
-        for its whole adjacency, scanned as one block).
+        vertices of the block at once by the ``mgt_block_scan`` kernel: the
+        fused loop of the compiled tier, or its numpy twin
+        (``kernels.NUMPY_IMPLS["mgt_block_scan"]``: candidate mask, one
+        segment gather of the ``E_v`` lists, one packed-key binary search).
+        ``resident`` carries a shared-memory view's published scan
+        invariants (``entry_sources``, ``block_keys``, ``in_offsets``,
+        ``in_positions``) when the block is its whole adjacency; the kernel
+        then visits only the window vertices' in-edges, in sweep order.
 
         Returns ``(pairs, operations)``: the number of (cone, out-neighbour)
         pairs intersected -- the Σ|N⁺(u)| term of the CPU analysis -- and the
         deterministic operation count (block entries scanned plus gathered
-        ``E_v`` elements) that backs the modelled CPU time.
+        ``E_v`` elements) that backs the modelled CPU time.  Both are the
+        same whether the block was swept or visited through the index.
         """
         if block_adj.shape[0] == 0:
             return 0, 0
-        scanned = int(block_adj.shape[0])
+        scan = kernel_backend.fused("mgt_block_scan") or kernels.NUMPY_IMPLS[
+            "mgt_block_scan"
+        ]
+        count_only = type(sink) is CountingSink
+        num_pairs, total, hits, cones, pivots_v, pivots_w = scan(
+            block_adj,
+            block_offsets,
+            edg,
+            vlow,
+            vhigh,
+            win_offsets,
+            win_degrees,
+            not count_only,
+            **resident,
+        )
+        if hits:
+            if count_only:
+                sink.count += hits
+            else:
+                sink.add_triples(cones + np.int64(first_vertex), pivots_v, pivots_w)
+        return num_pairs, int(block_adj.shape[0]) + total
 
-        # compiled tier: the whole 3-step chain below runs as one fused loop
-        # over the block's adjacency entries -- no candidate mask, no gathered
-        # E_v array, no packed keys.  Emission order, pair count and the
-        # scanned + gathered operation count are identical by contract.
-        fused_scan = kernel_backend.fused("mgt_block_scan")
-        if fused_scan is not None:
-            count_only = type(sink) is CountingSink
-            num_pairs, total, hits, cones_rel, pivots_v, pivots_w = fused_scan(
-                block_adj,
-                block_offsets,
-                edg,
-                vlow,
-                vhigh,
-                win_offsets,
-                win_degrees,
-                not count_only,
-            )
-            if hits:
-                if count_only:
-                    sink.count += hits
-                else:
-                    sink.add_triples(
-                        cones_rel + np.int64(first_vertex), pivots_v, pivots_w
-                    )
-            return num_pairs, scanned + total
 
-        # step 1: candidate (u, v) pairs
-        in_span = (block_adj >= vlow) & (block_adj <= vhigh)
-        cand_mask = np.zeros(block_adj.shape[0], dtype=bool)
-        if in_span.any():
-            cand_mask[in_span] = win_degrees[block_adj[in_span] - vlow] > 0
-        if not cand_mask.any():
-            return 0, scanned
-        if entry_sources is None:
-            block_degrees = (block_offsets[1:] - block_offsets[:-1]).astype(np.int64)
-            entry_sources = np.repeat(
-                np.arange(block_degrees.shape[0], dtype=np.int64), block_degrees
-            )
-        pair_u = entry_sources[cand_mask]          # cone vertex (block-relative)
-        pair_v = block_adj[cand_mask]              # out-neighbour with in-window edges
-        num_pairs = int(pair_u.shape[0])
+def window_index(
+    offsets: np.ndarray, window_start: int, window_stop: int
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The ``ind`` array of one memory window ``[window_start, window_stop)``.
 
-        # step 2: gather E_v for every pair into one flat array
-        seg_lengths = win_degrees[pair_v - vlow]
-        total = int(seg_lengths.sum())
-        if total == 0:
-            return num_pairs, scanned
-        seg_starts = win_offsets[pair_v - vlow]
-        ev_all, pair_ids = kernels.segment_gather(edg, seg_starts, seg_lengths)
-
-        # step 3: membership w ∈ N(u) via one binary search on packed keys.
-        # The block's adjacency is sorted by (source, destination), so the
-        # packed keys are sorted and the query (u, w) hits exactly when the
-        # edge (u, w) is present in the block.
-        n = self.graph.num_vertices
-        if block_keys is None:
-            block_keys = kernels.packed_keys(entry_sources, block_adj, n)
-        query_keys = kernels.packed_keys(pair_u[pair_ids], ev_all, n)
-        found = kernels.sorted_membership(block_keys, query_keys)
-        if found.any():
-            cones = pair_u[pair_ids[found]] + first_vertex
-            pivots_v = pair_v[pair_ids[found]]
-            pivots_w = ev_all[found]
-            sink.add_triples(cones, pivots_v, pivots_w)
-        return num_pairs, scanned + total
+    Returns ``(vlow, vhigh, win_offsets, win_degrees)``: the vertices
+    ``[vlow, vhigh]`` whose out-lists overlap the window, and per vertex the
+    offset of its in-window out-list into ``edg`` and its in-window degree
+    (0 for a vertex with no entry inside; the boundary vertices' lists are
+    truncated to the window).
+    """
+    vlow = int(np.searchsorted(offsets, window_start, side="right")) - 1
+    vhigh = int(np.searchsorted(offsets, window_stop, side="left")) - 1
+    vhigh = max(vhigh, vlow)
+    vs = np.arange(vlow, vhigh + 1, dtype=np.int64)
+    starts = np.maximum(offsets[vs], window_start)
+    stops = np.minimum(offsets[vs + 1], window_stop)
+    win_degrees = np.maximum(stops - starts, 0).astype(np.int64)
+    win_offsets = (starts - window_start).astype(np.int64)
+    return vlow, vhigh, win_offsets, win_degrees
 
 
 def mgt_count(

@@ -314,15 +314,13 @@ class PDTLRunner:
         return run_task_queue(tasks, execute_chunk_task, backend=self.backend)
 
     def _publish_shared(self, oriented: GraphFile):
-        """Publish the oriented graph to shared memory when configured.
+        """Publish the oriented graph to shared memory (``config.shm``).
 
         Returns the publication (owning the segments) or ``None``.  On a
         host without POSIX shared memory the runner degrades to the
         on-disk path with a warning -- results are bit-identical either
         way, only the wall clock differs.
         """
-        if not self.config.shm:
-            return None
         available, reason = shm_available()
         if not available:
             warn_fallback(
@@ -399,8 +397,9 @@ class PDTLRunner:
         cluster.metrics.setup_seconds = cluster.metrics.setup_io_stats.device_seconds
 
         # Step 4: MGT execution on the host backend (placement-independent).
-        # With shm enabled the oriented adjacency is published once into
-        # named shared-memory segments; the publication is unlinked in the
+        # With shm enabled the oriented adjacency and its scan invariants
+        # are published once into named shared-memory segments, inside the
+        # scan phase (span shm_publish); the publication is unlinked in the
         # finally below even when a task raises (failure injection, worker
         # crash), so no segment ever outlives the run.
         if dynamic:
@@ -409,11 +408,15 @@ class PDTLRunner:
         else:
             units = [(r.start, r.stop) for r in ranges]
             unit_graphs = [local_graphs[r.node_index] for r in ranges]
-        publication = self._publish_shared(oriented)
+        publication = None
         try:
             with tracer.span(
                 "triangle_scan", cat="phase", units=len(units), sink=sink_kind
             ):
+                if config.shm:
+                    with tracer.span("shm_publish", cat="host") as span:
+                        publication = self._publish_shared(oriented)
+                        span.annotate(bytes=publication.nbytes if publication else 0)
                 outcomes = self._execute_units(
                     units,
                     unit_graphs,

@@ -8,7 +8,8 @@ the oriented graph **once** into named :mod:`multiprocessing.shared_memory`
 segments so workers slice memory windows zero-copy:
 
 * :func:`publish_graph` copies the degree array, the adjacency array, the
-  precomputed vertex offsets and the MGT scan invariants of an on-disk
+  precomputed vertex offsets and the MGT scan invariants (per-entry
+  sources, sorted packed keys and the in-edge index) of an on-disk
   oriented graph into named segments and returns a
   :class:`SharedGraphPublication` whose small
   :class:`SharedGraphDescriptor` (segment names + dtypes + shapes) is all
@@ -21,7 +22,8 @@ segments so workers slice memory windows zero-copy:
   I/O accounting is **bit-identical** to the on-disk path -- the data just
   arrives without syscalls or copies.  With the whole adjacency resident,
   the worker scans it per memory window as one block through the same
-  block kernel the on-disk path runs per scan block;
+  block kernel the on-disk path runs per scan block, visiting through the
+  in-edge index only the entries that point into the window;
 * :func:`attach_view` caches attachments per process (keyed by the
   publication token), so a persistent pool worker maps each segment once
   and serves every subsequent chunk task from the existing mapping.
@@ -63,7 +65,6 @@ from repro.core import kernels
 from repro.errors import PDTLError
 from repro.externalmem.blockio import DiskModel
 from repro.graph.binfmt import GraphFile
-from repro.utils import prefix_sums
 
 __all__ = [
     "SHM_PREFIX",
@@ -193,11 +194,16 @@ class SharedGraphDescriptor:
     publication; worker-side attachments are cached by it.
 
     Besides the raw graph arrays (degrees, adjacency, offsets) the
-    publication carries the two scan invariants of the MGT full-graph pass,
+    publication carries the scan invariants of the MGT full-graph pass,
     pure functions of the graph that every worker would otherwise
-    recompute: the per-entry source vertex of every adjacency position and
+    recompute: the per-entry source vertex of every adjacency position,
     the globally sorted packed ``(source, destination)`` keys
-    (:func:`repro.core.kernels.packed_keys`).
+    (:func:`repro.core.kernels.packed_keys`), and the in-edge index
+    (:func:`repro.core.kernels.in_edge_index`): ``in_offsets`` are the
+    prefix sums of the in-degrees, and ``in_positions`` the adjacency
+    positions grouped by destination, ascending within each group -- i.e.
+    ``np.argsort(adjacency, kind="stable")``.  With it a window's scan
+    visits only the entries that point into the window.
     """
 
     token: str
@@ -206,6 +212,8 @@ class SharedGraphDescriptor:
     offsets: SharedArraySpec
     scan_sources: SharedArraySpec
     scan_keys: SharedArraySpec
+    in_offsets: SharedArraySpec
+    in_positions: SharedArraySpec
     num_vertices: int
     num_edges: int
     directed: bool
@@ -223,9 +231,13 @@ class SharedGraphPublication:
     last task completes is always safe.
     """
 
-    def __init__(self, descriptor: SharedGraphDescriptor, segments) -> None:
+    def __init__(
+        self, descriptor: SharedGraphDescriptor, segments, nbytes: int
+    ) -> None:
         self.descriptor = descriptor
         self._segments = list(segments)
+        #: bytes published (observability only)
+        self.nbytes = nbytes
         self._unlinked = False
 
     def unlink(self) -> None:
@@ -260,23 +272,29 @@ class SharedGraphPublication:
             pass
 
 
-def _read_file_raw(graph: GraphFile, file_name: str, num_items: int) -> np.ndarray:
-    """Read a graph file directly from the host path, below the accounting."""
-    path = graph.device.path(file_name)
-    if num_items == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.fromfile(path, dtype=np.int64, count=num_items)
+def _read_file_into(graph: GraphFile, file_name: str, out: np.ndarray) -> None:
+    """Fill ``out`` from a graph file's host path, below the accounting."""
+    if out.size == 0:
+        return
+    with open(graph.device.path(file_name), "rb") as handle:
+        read = handle.readinto(memoryview(out).cast("B"))
+    if read != out.nbytes:
+        raise PDTLError(
+            f"graph file {file_name!r} holds {read} bytes, expected {out.nbytes}"
+        )
 
 
 def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     """Publish an on-disk graph into named shared-memory segments.
 
     One copy per host: the degree array, the adjacency array, the derived
-    vertex-offset array and the MGT scan invariants (per-entry sources +
-    sorted packed keys) each get a segment named after a fresh publication
-    token.  The files are read raw (``np.fromfile`` on the device paths),
-    so no I/O counter anywhere moves -- publication is a host-side
-    optimisation, invisible to the simulation.
+    vertex-offset array and the MGT scan invariants (per-entry sources,
+    sorted packed keys, in-edge offsets and positions) each get a segment
+    named after a fresh publication token.  Every array is computed
+    straight into its segment, with no staging copy.  The files are read
+    raw (``readinto`` on the device paths), so no I/O counter anywhere
+    moves -- publication is a host-side optimisation, invisible to the
+    simulation.
     """
     available, reason = shm_available()
     if not available:
@@ -284,35 +302,36 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     from multiprocessing import shared_memory
 
     token = _new_token()
-    degrees = _read_file_raw(graph, graph.degree_file_name, graph.num_vertices)
-    adjacency = _read_file_raw(graph, graph.adjacency_file_name, graph.num_edges)
-    offsets = prefix_sums(degrees)
-    scan_sources = kernels.window_sources(offsets, 0, graph.num_vertices)
-
-    arrays = {
-        "deg": degrees,
-        "adj": adjacency,
-        "off": offsets,
-        "src": scan_sources,
-        "key": kernels.packed_keys(scan_sources, adjacency, graph.num_vertices),
+    n, m = graph.num_vertices, graph.num_edges
+    lengths = {
+        "deg": n,
+        "adj": m,
+        "off": n + 1,
+        "src": m,
+        "key": m,
+        "ino": n + 1,
+        "inp": m,
     }
     segments = []
-    specs: dict[str, SharedArraySpec] = {}
+    arrays: dict[str, np.ndarray] = {}
     try:
-        for suffix, array in arrays.items():
-            name = f"{token}-{suffix}"
+        for suffix, length in lengths.items():
             # POSIX segments must be non-empty; over-allocate one byte for
             # empty arrays and let the spec's shape carry the truth
             shm = shared_memory.SharedMemory(
-                name=name, create=True, size=max(array.nbytes, 1)
+                name=f"{token}-{suffix}", create=True, size=max(length * 8, 1)
             )
             segments.append(shm)
-            if array.size:
-                np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)[:] = array
-            specs[suffix] = SharedArraySpec(
-                name=name, dtype=str(array.dtype), shape=tuple(array.shape)
-            )
+            arrays[suffix] = np.ndarray((length,), dtype=np.int64, buffer=shm.buf)
+        _read_file_into(graph, graph.degree_file_name, arrays["deg"])
+        _read_file_into(graph, graph.adjacency_file_name, arrays["adj"])
+        arrays["off"][0] = 0
+        np.cumsum(arrays["deg"], out=arrays["off"][1:])
+        arrays["src"][:] = kernels.window_sources(arrays["off"], 0, n)
+        kernels.packed_keys(arrays["src"], arrays["adj"], n, out=arrays["key"])
+        kernels.in_edge_index(arrays["adj"], n, out=(arrays["ino"], arrays["inp"]))
     except BaseException:
+        arrays.clear()  # release the buffer exports before closing
         for shm in segments:
             shm.close()
             try:
@@ -320,6 +339,11 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
             except FileNotFoundError:
                 pass
         raise
+    arrays.clear()
+    specs = {
+        suffix: SharedArraySpec(name=f"{token}-{suffix}", dtype="int64", shape=(length,))
+        for suffix, length in lengths.items()
+    }
 
     descriptor = SharedGraphDescriptor(
         token=token,
@@ -328,12 +352,15 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
         offsets=specs["off"],
         scan_sources=specs["src"],
         scan_keys=specs["key"],
+        in_offsets=specs["ino"],
+        in_positions=specs["inp"],
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
         directed=graph.directed,
         max_degree=graph.max_degree,
     )
-    return SharedGraphPublication(descriptor, segments)
+    nbytes = 8 * sum(lengths.values())
+    return SharedGraphPublication(descriptor, segments, nbytes)
 
 
 class _SharedDevice:
@@ -358,7 +385,8 @@ class SharedGraphView:
     no copies.  ``cached_offsets`` additionally exposes the published
     vertex-offset array so the worker can skip recomputing prefix sums per
     chunk (it still charges the modelled degree-file read), and
-    ``scan_sources``/``scan_keys`` the published scan invariants.
+    ``scan_sources``/``scan_keys``/``in_offsets``/``in_positions`` the
+    published scan invariants.
     """
 
     def __init__(self, descriptor: SharedGraphDescriptor, model: DiskModel) -> None:
@@ -370,6 +398,8 @@ class SharedGraphView:
         self._offsets = self._attach(descriptor.offsets)
         self._scan_sources = self._attach(descriptor.scan_sources)
         self._scan_keys = self._attach(descriptor.scan_keys)
+        self._in_offsets = self._attach(descriptor.in_offsets)
+        self._in_positions = self._attach(descriptor.in_positions)
         self._closed = False
 
     def _attach(self, spec: SharedArraySpec) -> np.ndarray:
@@ -429,6 +459,16 @@ class SharedGraphView:
         """Globally sorted packed ``(source, destination)`` keys (length E)."""
         return self._require_open(self._scan_keys)
 
+    @property
+    def in_offsets(self) -> np.ndarray:
+        """Exclusive prefix sums of the in-degrees (length V + 1)."""
+        return self._require_open(self._in_offsets)
+
+    @property
+    def in_positions(self) -> np.ndarray:
+        """Adjacency positions grouped by destination, ascending (length E)."""
+        return self._require_open(self._in_positions)
+
     def offsets(self) -> np.ndarray:
         return self._offsets
 
@@ -453,6 +493,7 @@ class SharedGraphView:
         self._closed = True
         self._degrees = self._adjacency = self._offsets = None  # type: ignore[assignment]
         self._scan_sources = self._scan_keys = None  # type: ignore[assignment]
+        self._in_offsets = self._in_positions = None  # type: ignore[assignment]
         for shm in self._segments:
             try:
                 shm.close()

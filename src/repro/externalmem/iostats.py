@@ -60,6 +60,28 @@ class IOStats:
         else:
             self.random_reads += blocks
 
+    def record_reads(
+        self, blocks: int, nbytes: int, seconds: list[float], sequential: bool
+    ) -> None:
+        """Record ``len(seconds)`` reads totalling ``blocks`` blocks and
+        ``nbytes`` bytes, whose modelled transfer times are ``seconds``.
+
+        The counters end exactly as after one :meth:`record_read` plus
+        :meth:`add_device_time` per read: the times are added one by one, in
+        order, so ``device_seconds`` rounds identically.
+        """
+        self.blocks_read += blocks
+        self.bytes_read += nbytes
+        self.read_calls += len(seconds)
+        if sequential:
+            self.sequential_reads += blocks
+        else:
+            self.random_reads += blocks
+        total = self.device_seconds
+        for step in seconds:
+            total += step
+        self.device_seconds = total
+
     def record_write(self, blocks: int, nbytes: int, sequential: bool) -> None:
         self.blocks_written += blocks
         self.bytes_written += nbytes

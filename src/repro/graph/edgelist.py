@@ -116,12 +116,19 @@ class EdgeList:
         mask = self.edges[:, 0] != self.edges[:, 1]
         return EdgeList(self.edges[mask], self.num_vertices)
 
+    def _unique_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``np.unique(rows, axis=0)`` through packed keys (see
+        :func:`repro.core.kernels.unique_pairs`)."""
+        # imported here: repro.core imports this module through repro.graph
+        from repro.core.kernels import unique_pairs
+
+        return unique_pairs(rows, self.num_vertices)
+
     def deduplicated(self) -> "EdgeList":
         """Return a copy with duplicate directed edges removed (sorted)."""
         if self.num_edges == 0:
             return self.copy()
-        unique = np.unique(self.edges, axis=0)
-        return EdgeList(unique, self.num_vertices)
+        return EdgeList(self._unique_rows(self.edges), self.num_vertices)
 
     def symmetrized(self) -> "EdgeList":
         """Return the bi-directional closure: for every ``(u, v)`` also ``(v, u)``.
@@ -134,10 +141,8 @@ class EdgeList:
         if no_loops.num_edges == 0:
             return no_loops
         forward = no_loops.edges
-        backward = forward[:, ::-1]
-        both = np.vstack([forward, backward])
-        unique = np.unique(both, axis=0)
-        return EdgeList(unique, self.num_vertices)
+        both = np.vstack([forward, forward[:, ::-1]])
+        return EdgeList(self._unique_rows(both), self.num_vertices)
 
     def canonical_undirected(self) -> "EdgeList":
         """Return each undirected edge once as ``(min(u,v), max(u,v))``, sorted."""
@@ -146,7 +151,7 @@ class EdgeList:
             return no_loops
         lo = np.minimum(no_loops.edges[:, 0], no_loops.edges[:, 1])
         hi = np.maximum(no_loops.edges[:, 0], no_loops.edges[:, 1])
-        canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        canon = self._unique_rows(np.stack([lo, hi], axis=1))
         return EdgeList(canon, self.num_vertices)
 
     def sorted(self) -> "EdgeList":
@@ -171,11 +176,9 @@ class EdgeList:
         """True if for every ``(u, v)`` the reverse ``(v, u)`` is also present."""
         if self.num_edges == 0:
             return True
-        forward = self.deduplicated().edges
-        backward = np.unique(forward[:, ::-1], axis=0)
-        return forward.shape == backward.shape and bool(
-            np.array_equal(np.unique(forward, axis=0), backward)
-        )
+        forward = self._unique_rows(self.edges)
+        backward = self._unique_rows(forward[:, ::-1])
+        return bool(np.array_equal(forward, backward))
 
     def has_self_loops(self) -> bool:
         if self.num_edges == 0:

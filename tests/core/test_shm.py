@@ -22,8 +22,10 @@ from repro.core.mgt import MGTWorker, mgt_count
 from repro.core.orientation import orient_graph
 from repro.core.pdtl import PDTLRunner
 from repro.core.scheduler import ChunkTask, chunk_seed, execute_chunk_task
+from repro.core.triangles import ListingSink
 from repro.core.shm import (
     SHM_PREFIX,
+    SharedArraySpec,
     SharedGraphView,
     attach_view,
     detach_view,
@@ -35,6 +37,7 @@ from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
+from repro.utils import prefix_sums
 
 pytestmark = pytest.mark.skipif(
     not shm_available()[0],
@@ -47,6 +50,15 @@ _COMPILED_OK, _COMPILED_TIER = kernel_backend.compiled_available()
 def _segments_on_host() -> list[str]:
     """Every live segment this module's publications could have created."""
     return glob.glob(f"/dev/shm/{SHM_PREFIX}-*")
+
+
+def _segment_names(publication) -> dict[str, str]:
+    """Descriptor field -> segment name, for every published array."""
+    return {
+        field: spec.name
+        for field, spec in vars(publication.descriptor).items()
+        if isinstance(spec, SharedArraySpec)
+    }
 
 
 @pytest.fixture
@@ -103,6 +115,32 @@ class TestPublishAttach:
             assert bool(np.all(np.diff(view.scan_keys) >= 0))  # sorted haystack
             view.close()
 
+    def test_in_edge_index_published(self, oriented):
+        with publish_graph(oriented) as publication:
+            view = SharedGraphView(publication.descriptor, oriented.device.model)
+            adjacency = oriented.read_adjacency_range(0, oriented.num_edges)
+            in_degrees = np.bincount(adjacency, minlength=oriented.num_vertices)
+            np.testing.assert_array_equal(view.in_offsets, prefix_sums(in_degrees))
+            np.testing.assert_array_equal(
+                view.in_positions, np.argsort(adjacency, kind="stable")
+            )
+            assert not view.in_positions.flags.writeable
+            assert publication.nbytes == sum(
+                spec.num_items * 8 for spec in vars(publication.descriptor).values()
+                if isinstance(spec, SharedArraySpec)
+            )
+            view.close()
+
+    def test_edgeless_graph_publishes_empty_index(self, tmp_path):
+        device = BlockDevice(tmp_path / "disk", block_size=512)
+        empty = orient_graph(write_graph(device, "e", CSRGraph.empty(5))).oriented
+        with publish_graph(empty) as publication:
+            view = SharedGraphView(publication.descriptor, empty.device.model)
+            np.testing.assert_array_equal(view.in_offsets, np.zeros(6, dtype=np.int64))
+            assert view.in_positions.shape == (0,)
+            assert publication.nbytes == 8 * (3 * 5 + 2)
+            view.close()
+
     def test_out_of_bounds_range_rejected(self, oriented):
         with publish_graph(oriented) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
@@ -128,13 +166,17 @@ class TestPublishAttach:
 class TestLifecycle:
     def test_unlink_removes_segments_and_is_idempotent(self, oriented):
         publication = publish_graph(oriented)
-        names = [
-            publication.descriptor.degrees.name,
-            publication.descriptor.adjacency.name,
-            publication.descriptor.offsets.name,
-            publication.descriptor.scan_sources.name,
-            publication.descriptor.scan_keys.name,
-        ]
+        segments = _segment_names(publication)
+        assert set(segments) == {
+            "degrees",
+            "adjacency",
+            "offsets",
+            "scan_sources",
+            "scan_keys",
+            "in_offsets",
+            "in_positions",
+        }
+        names = list(segments.values())
         for name in names:
             assert glob.glob(f"/dev/shm/{name}")
         publication.unlink()
@@ -193,8 +235,9 @@ class TestLifecycle:
         with publish_graph(oriented) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             view.close()
-            with pytest.raises(PDTLError, match="is closed"):
-                view.scan_sources
+            for name in ("scan_sources", "scan_keys", "in_offsets", "in_positions"):
+                with pytest.raises(PDTLError, match="is closed"):
+                    getattr(view, name)
 
     def test_tokens_are_unique(self, oriented):
         with publish_graph(oriented) as first, publish_graph(oriented) as second:
@@ -216,6 +259,41 @@ class TestMGTOnSharedView:
         assert shared.intersections == disk.intersections
         assert shared.cpu_operations == disk.cpu_operations
         assert shared.edges_processed == disk.edges_processed
+
+    @pytest.mark.skipif(
+        not _COMPILED_OK, reason=f"no compiled backend: {_COMPILED_TIER}"
+    )
+    def test_index_scan_lists_like_disk_sweep_compiled(self, tmp_path):
+        """Under the compiled tier, the resident scan (in-edge index) lists
+        exactly what the on-disk per-block sweep lists, window by window."""
+        device = BlockDevice(tmp_path / "disk", block_size=512)
+        graph = CSRGraph.from_edgelist(rmat(9, edge_factor=16, seed=11))
+        oriented = orient_graph(write_graph(device, "g", graph)).oriented
+        config = PDTLConfig(
+            memory_per_proc=4096,
+            block_size=512,
+            modelled_cpu=True,
+            count_only=False,
+            kernel_backend=_COMPILED_TIER,
+        )
+        with kernel_backend.use(_COMPILED_TIER):
+            disk_sink = ListingSink()
+            disk = MGTWorker(oriented, config).run(disk_sink)
+            with publish_graph(oriented) as publication:
+                view = SharedGraphView(publication.descriptor, oriented.device.model)
+                shared_sink = ListingSink()
+                shared = MGTWorker(view, config).run(shared_sink)
+                view.close()
+        assert disk.iterations >= 20
+        assert disk.triangles == forward_count(graph) > 0
+        assert shared_sink.triangles == disk_sink.triangles  # order included
+        assert shared.triangles == disk.triangles
+        assert shared.io_stats.as_dict() == disk.io_stats.as_dict()
+        assert shared.io_seconds == disk.io_seconds
+        assert shared.cpu_seconds == disk.cpu_seconds  # modelled_cpu
+        assert shared.cpu_operations == disk.cpu_operations
+        assert shared.intersections == disk.intersections
+        assert shared.iterations == disk.iterations
 
     def test_edge_range_restriction_matches(self, oriented, config):
         mid = oriented.num_edges // 2
@@ -320,6 +398,22 @@ class TestRunnerIntegration:
         prefix = "worker.kernel.dispatch.mgt_block_scan"
         assert counters.get(f"{prefix}.{_COMPILED_TIER}", 0) > 0
         assert counters.get(f"{prefix}.numpy", 0) == 0
+        assert _segments_on_host() == []
+
+    def test_publication_is_spanned_inside_the_scan_phase(self, rmat_small):
+        """The publication (index build included) is a child span of
+        triangle_scan carrying the bytes published, not unspanned time."""
+        result = PDTLRunner(
+            self._config(scheduling="dynamic", trace=True), backend="serial"
+        ).run(rmat_small)
+        events = {e.name: e for e in result.telemetry.events if e.track == "master"}
+        publish, scan = events["shm_publish"], events["triangle_scan"]
+        assert publish.cat == "host" and publish.depth == scan.depth + 1
+        assert scan.start <= publish.start
+        assert publish.start + publish.duration <= scan.start + scan.duration
+        # deg, off, ino: ~V each; adj, src, key, inp: E each (int64)
+        v, e = rmat_small.num_vertices, rmat_small.num_undirected_edges
+        assert publish.args_dict["bytes"] == 8 * (3 * v + 2 + 4 * e)
         assert _segments_on_host() == []
 
     def test_straggler_spec_reroutes_chunks_and_keeps_counts(self, rmat_small):

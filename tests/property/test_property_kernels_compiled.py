@@ -6,12 +6,13 @@ fallback paths: empty arrays, single elements, duplicate-heavy values and
 negative ids -- plus random graphs for the structural kernels.  On a host
 without cffi or a C toolchain the module skips with the probe's reason.
 
-The fused entry points (``mgt_block_scan``, ``edge_support_accumulate``,
-``truss_peel_level``, ``triangle_edge_ids``, ``incidence_csr``) have no
-single numpy twin -- they replace multi-pass
-caller chains -- so they are checked against in-test references built from
-the numpy primitives, and end-to-end by installing the registry and
-comparing whole decompositions.
+The fused entry points (``edge_support_accumulate``, ``truss_peel_level``,
+``triangle_edge_ids``, ``incidence_csr``) have no single numpy twin -- they
+replace multi-pass caller chains -- so they are checked against in-test
+references built from the numpy primitives, and end-to-end by installing
+the registry and comparing whole decompositions.  ``mgt_block_scan`` and
+``in_edge_index`` are checked on both tiers in
+``test_property_mgt_scan.py``.
 """
 
 from __future__ import annotations
@@ -215,65 +216,6 @@ def test_edge_common_neighbors_matches_numpy(registry, graph, data):
 
 
 # -- fused kernels vs in-test references ------------------------------------
-
-
-def _mgt_block_scan_reference(
-    block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees
-):
-    """The 3-pass chain of ``MGTWorker._process_block``, one entry at a time."""
-    pairs = 0
-    total = 0
-    cones, vs_out, ws_out = [], [], []
-    for bu in range(block_offsets.shape[0] - 1):
-        nu = block_adj[block_offsets[bu] : block_offsets[bu + 1]]
-        for v in nu:
-            if v < vlow or v > vhigh:
-                continue
-            d = int(win_degrees[v - vlow])
-            if d <= 0:
-                continue
-            pairs += 1
-            total += d
-            ev = edg[win_offsets[v - vlow] : win_offsets[v - vlow] + d]
-            for w in ev[np.isin(ev, nu)]:
-                cones.append(bu)
-                vs_out.append(int(v))
-                ws_out.append(int(w))
-    return pairs, total, cones, vs_out, ws_out
-
-
-@REGISTRY_PARAMS
-@given(graph=random_graphs(), data=st.data())
-@settings(**SETTINGS)
-def test_mgt_block_scan_matches_reference(registry, graph, data):
-    oriented = orient_csr(graph)
-    n = oriented.num_vertices
-    blo = data.draw(st.integers(min_value=0, max_value=n))
-    bhi = data.draw(st.integers(min_value=blo, max_value=n))
-    vlow = data.draw(st.integers(min_value=0, max_value=n - 1))
-    vhigh = data.draw(st.integers(min_value=vlow, max_value=n - 1))
-    indptr, indices = oriented.indptr, oriented.indices
-    block_adj = indices[indptr[blo] : indptr[bhi]].copy()
-    block_offsets = (indptr[blo : bhi + 1] - indptr[blo]).astype(np.int64)
-    edg = indices[indptr[vlow] : indptr[vhigh + 1]].copy()
-    win_offsets = (indptr[vlow : vhigh + 1] - indptr[vlow]).astype(np.int64)
-    win_degrees = np.diff(indptr[vlow : vhigh + 2]).astype(np.int64)
-
-    pairs, total, cones, vs_ref, ws_ref = _mgt_block_scan_reference(
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees
-    )
-    got = registry["mgt_block_scan"](
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, True
-    )
-    assert (got[0], got[1], got[2]) == (pairs, total, len(cones))
-    np.testing.assert_array_equal(np.asarray(got[3]), np.asarray(cones, dtype=np.int64))
-    np.testing.assert_array_equal(np.asarray(got[4]), np.asarray(vs_ref, dtype=np.int64))
-    np.testing.assert_array_equal(np.asarray(got[5]), np.asarray(ws_ref, dtype=np.int64))
-
-    counted = registry["mgt_block_scan"](
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, False
-    )
-    assert (counted[0], counted[1], counted[2]) == (pairs, total, len(cones))
 
 
 @REGISTRY_PARAMS
